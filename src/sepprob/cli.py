@@ -59,6 +59,8 @@ def _cmd_sample(args) -> int:
     if args.resume and ck.exists():
         _, state = load_checkpoint(ck, cfg)
         print(f"resuming from sample index {state.next_index}")
+    elif args.resume:
+        print(f"no checkpoint in {cfg.out_dir}; starting at sample 0")
     report = run_experiment(cfg, state=state, progress=True)
     files = export(report)
     p = report.overall.get("wilson_0.95", {})

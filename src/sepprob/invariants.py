@@ -9,6 +9,9 @@ d=3 it is (l1, l4, l6, l2, l5, l7, l3, l8) in standard Gell-Mann numbering.
 Radius normalization: radius = |n| / sqrt(2(d-1)/d), so pure states sit at
 exactly 1 for every d.  The cubic invariant is evaluated on the same
 unit-normalized vector, giving |c3| <= 1/sqrt(3) for qutrits.
+
+Every function takes states of shape (..., d, d); a single state is a batch
+with no leading axes.
 """
 
 from __future__ import annotations
@@ -64,50 +67,25 @@ def su_basis(d: int) -> GeneratorBasis:
     return GeneratorBasis(d=d, matrices=arr)
 
 
-@dataclass(frozen=True, eq=False)
-class CoherenceVector:
-    """Generalized Bloch vector n_a = tr(rho l_a) and its normalized radius."""
-    d: int
-    n: np.ndarray
-    radius: float
-
-
-def coherence_vector(rho: np.ndarray, basis: GeneratorBasis) -> CoherenceVector:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (basis.d, basis.d):
-        raise mc.ShapeMismatch(
-            f"state dimension {rho.shape} does not match basis d={basis.d}")
-    n = np.einsum("ij,aji->a", rho, basis.matrices).real
-    radius = float(np.linalg.norm(n) / radius_scale(basis.d))
-    return CoherenceVector(d=basis.d, n=n, radius=radius)
-
-
 def coherence_vectors_batch(rhos: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """Coherence vectors along the leading batch axis, shape (batch, d^2-1)."""
-    return np.einsum("sij,aji->sa", rhos, basis.matrices).real
+    """Coherence vectors n_a = tr(rho l_a), shape (..., d^2-1)."""
+    if rhos.shape[-2:] != (basis.d, basis.d):
+        raise mc.ShapeMismatch(
+            f"state shape {rhos.shape} does not match basis d={basis.d}")
+    return np.einsum("...ij,aji->...a", rhos, basis.matrices).real
 
 
 @dataclass(frozen=True, eq=False)
 class DTensor:
     """Totally symmetric d_abc = (1/4) tr({l_a, l_b} l_c), stored sparsely.
 
-    entries maps canonically sorted index triples to values; dense() expands
-    the full symmetrized array.
+    entries maps canonically sorted index triples to values.
     """
     d: int
     entries: dict
 
     def value(self, a: int, b: int, c: int) -> float:
         return self.entries.get(tuple(sorted((a, b, c))), 0.0)
-
-    def dense(self) -> np.ndarray:
-        m = self.d * self.d - 1
-        out = np.zeros((m, m, m))
-        for (a, b, c), v in self.entries.items():
-            for i, j, k in {(a, b, c), (a, c, b), (b, a, c),
-                            (b, c, a), (c, a, b), (c, b, a)}:
-                out[i, j, k] = v
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -127,24 +105,16 @@ def d_tensor(d: int) -> DTensor:
     return DTensor(d=basis.d, entries=entries)
 
 
-def cubic_casimir(v: CoherenceVector, dt: DTensor) -> float:
-    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c on the unit-scaled vector."""
-    if v.d != dt.d:
-        raise mc.ShapeMismatch(f"vector d={v.d} does not match tensor d={dt.d}")
-    nhat = v.n / radius_scale(v.d)
-    c3 = 0.0
-    for (a, b, c), val in dt.entries.items():
-        mult = len({(a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)})
-        c3 += mult * val * nhat[a] * nhat[b] * nhat[c]
-    return c3
+def cubic_casimir_batch(rhos: np.ndarray) -> np.ndarray:
+    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c of states (..., d, d).
 
-
-def cubic_casimir_batch(nvecs: np.ndarray, dt: DTensor) -> np.ndarray:
-    """Cubic invariant for a batch of raw coherence vectors (unscaled)."""
-    nhat = nvecs / radius_scale(dt.d)
-    D = dt.dense()
-    t = np.einsum("abc,sb,sc->sa", D, nhat, nhat)
-    return np.einsum("sa,sa->s", t, nhat)
+    Closed form: with rho = I/d + n.l/2, tr rho^2 = 1/d + |n|^2/2 and
+    tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc d_abc n_a n_b n_c.
+    """
+    d = rhos.shape[-1]
+    n2 = 2.0 * (mc.purity_batch(rhos) - 1.0 / d)
+    tr3 = np.einsum("...ij,...jk,...ki->...", rhos, rhos, rhos).real
+    return 4.0 * (tr3 - 1.0 / d ** 2 - 1.5 * n2 / d) / radius_scale(d) ** 3
 
 
 @lru_cache(maxsize=None)
@@ -153,60 +123,24 @@ def _pauli_pairs() -> np.ndarray:
     return np.array([np.kron(sig[i], sig[j]) for i in range(3) for j in range(3)])
 
 
-def fano_correlation_invariant(rho: np.ndarray) -> float:
-    """Sum of squares of the 3x3 Fano correlation matrix of a two-qubit state."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise mc.ShapeMismatch(f"expected a 4x4 state, got {rho.shape}")
-    c = np.einsum("ij,aji->a", rho, _pauli_pairs()).real
-    return float(np.dot(c, c))
-
-
 def fano_correlation_invariant_batch(rhos: np.ndarray) -> np.ndarray:
-    c = np.einsum("sij,aji->sa", rhos, _pauli_pairs()).real
-    return np.einsum("sa,sa->s", c, c)
+    """Sum of squares of the 3x3 Fano correlation matrix of two-qubit states."""
+    if rhos.shape[-2:] != (4, 4):
+        raise mc.ShapeMismatch(f"expected 4x4 states, got shape {rhos.shape}")
+    c = np.einsum("...ij,aji->...a", rhos, _pauli_pairs()).real
+    return np.einsum("...a,...a->...", c, c)
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
-    """Per-sample invariants of the two reduced subsystems plus the PPT flag."""
-    r_a: float
-    r_b: float
-    c2_a: float
-    c2_b: float
-    c3_a: float | None
-    c3_b: float | None
-    c002: float | None
-    ppt: bool
-
-
-def _radius_from_purity(p: float, d: int) -> float:
+def _quadratic_casimir(red: np.ndarray) -> np.ndarray:
+    """Squared normalized Bloch radius (purity - 1/d)/(1 - 1/d) of reduced states."""
+    d = red.shape[-1]
     if d == 1:
-        return 0.0
-    return np.sqrt(max((p - 1.0 / d) / (1.0 - 1.0 / d), 0.0))
+        return np.zeros(red.shape[:-2])
+    return np.clip((mc.purity_batch(red) - 1.0 / d) / (1.0 - 1.0 / d), 0.0, None)
 
 
-def record(rho: np.ndarray, dims: tuple[int, int],
-           tol: float = mc.PPT_TOL) -> InvariantRecord:
-    """Reference single-sample path; the batch path is tested against it."""
-    m, n = dims
-    rho_a = mc.partial_trace(rho, dims, "A")
-    rho_b = mc.partial_trace(rho, dims, "B")
-    va = coherence_vector(rho_a, su_basis(m)) if m >= 2 else None
-    vb = coherence_vector(rho_b, su_basis(n)) if n >= 2 else None
-    r_a = va.radius if va else 0.0
-    r_b = vb.radius if vb else 0.0
-    c3_a = cubic_casimir(va, d_tensor(m)) if m == 3 else None
-    c3_b = cubic_casimir(vb, d_tensor(n)) if n == 3 else None
-    c002 = fano_correlation_invariant(rho) if (m, n) == (2, 2) else None
-    flag, _ = mc.is_ppt(rho, dims, tol)
-    return InvariantRecord(r_a=r_a, r_b=r_b, c2_a=r_a * r_a, c2_b=r_b * r_b,
-                           c3_a=c3_a, c3_b=c3_b, c002=c002, ppt=flag)
-
-
-def record_batch(rhos: np.ndarray, dims: tuple[int, int],
-                 tol: float = mc.PPT_TOL) -> dict:
-    """Vectorized invariants for a batch of states.
+def record_batch(rhos: np.ndarray, dims: tuple[int, int]) -> dict:
+    """Invariants and PPT flags of bipartite states (..., m*n, m*n).
 
     Returns arrays keyed r_a, r_b, c2_a, c2_b, ppt, min_eig and, when
     applicable, c3_a / c3_b (qutrit subsystem) and c002 (2x2 shape).
@@ -214,10 +148,8 @@ def record_batch(rhos: np.ndarray, dims: tuple[int, int],
     m, n = dims
     rho_a = mc.partial_trace_batch(rhos, dims, "A")
     rho_b = mc.partial_trace_batch(rhos, dims, "B")
-    c2_a = np.clip((mc.purity_batch(rho_a) - 1.0 / m) / (1.0 - 1.0 / m), 0.0, None) \
-        if m >= 2 else np.zeros(len(rhos))
-    c2_b = np.clip((mc.purity_batch(rho_b) - 1.0 / n) / (1.0 - 1.0 / n), 0.0, None) \
-        if n >= 2 else np.zeros(len(rhos))
+    c2_a = _quadratic_casimir(rho_a)
+    c2_b = _quadratic_casimir(rho_b)
     min_eig = mc.min_pt_eigenvalue_batch(rhos, dims)
     out = {
         "r_a": np.sqrt(c2_a),
@@ -225,14 +157,12 @@ def record_batch(rhos: np.ndarray, dims: tuple[int, int],
         "c2_a": c2_a,
         "c2_b": c2_b,
         "min_eig": min_eig,
-        "ppt": min_eig >= -tol,
+        "ppt": min_eig >= -mc.PPT_TOL,
     }
     if m == 3:
-        nv = coherence_vectors_batch(rho_a, su_basis(3))
-        out["c3_a"] = cubic_casimir_batch(nv, d_tensor(3))
+        out["c3_a"] = cubic_casimir_batch(rho_a)
     if n == 3:
-        nv = coherence_vectors_batch(rho_b, su_basis(3))
-        out["c3_b"] = cubic_casimir_batch(nv, d_tensor(3))
+        out["c3_b"] = cubic_casimir_batch(rho_b)
     if (m, n) == (2, 2):
         out["c002"] = fano_correlation_invariant_batch(rhos)
     return out

@@ -1,7 +1,8 @@
 """Dense complex-matrix kernel for small bipartite states.
 
 Hermitian eigenvalues, partial trace, partial transpose, purity and the
-positive-partial-transpose (PPT) test, for matrices up to 16x16.
+positive-partial-transpose (PPT) test.  Each kernel works on arrays of
+shape (..., d, d); a single matrix is a batch with no leading axes.
 
 Index convention: the row/column index of the composite space is
 ``i_A * dim_b + i_B`` (subsystem A is the slow index).  All bipartite
@@ -55,7 +56,7 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,
 
 
 def hermitian_eigenvalues(M: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending."""
+    """All eigenvalues of a Hermitian matrix of dimension <= 16, ascending."""
     M = _square(M)
     if M.shape[0] > 16:
         raise ShapeMismatch("kernel is restricted to dimensions <= 16")
@@ -65,110 +66,43 @@ def hermitian_eigenvalues(M: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     return np.linalg.eigvalsh(M)
 
 
-def partial_transpose(rho: np.ndarray, dims: tuple[int, int],
-                      subsystem: str = "B") -> np.ndarray:
-    """Partial transpose of a bipartite matrix over one subsystem.
+def partial_transpose_batch(rhos: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Partial transpose over subsystem B of matrices of shape (..., d, d).
 
-    For subsystem B the entry ((i,j),(k,l)) of the result equals entry
-    ((i,l),(k,j)) of rho, with the first index of each pair running over A.
+    Entry ((i,j),(k,l)) of the result equals entry ((i,l),(k,j)) of rho,
+    with the first index of each pair running over A.  The transpose over
+    A is the full transpose of this one.
     """
-    rho = _square(rho)
-    m, n = _check_bipartition(rho.shape[0], dims)
-    T = rho.reshape(m, n, m, n)
-    if subsystem == "B":
-        T = T.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        T = T.transpose(2, 1, 0, 3)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return T.reshape(m * n, m * n)
-
-
-def partial_transpose_batch(rhos: np.ndarray, dims: tuple[int, int],
-                            subsystem: str = "B") -> np.ndarray:
-    """Partial transpose applied along the leading batch axis."""
     m, n = _check_bipartition(rhos.shape[-1], dims)
-    T = rhos.reshape(-1, m, n, m, n)
-    if subsystem == "B":
-        T = T.transpose(0, 1, 4, 3, 2)
-    elif subsystem == "A":
-        T = T.transpose(0, 3, 2, 1, 4)
-    else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return np.ascontiguousarray(T).reshape(rhos.shape)
+    T = rhos.reshape(rhos.shape[:-2] + (m, n, m, n))
+    return np.ascontiguousarray(np.swapaxes(T, -1, -3)).reshape(rhos.shape)
 
 
-def partial_trace(rho: np.ndarray, dims: tuple[int, int],
-                  keep: str = "A") -> np.ndarray:
-    """Reduced matrix on the kept subsystem."""
-    rho = _square(rho)
-    m, n = _check_bipartition(rho.shape[0], dims)
-    T = rho.reshape(m, n, m, n)
-    if keep == "A":
-        return np.trace(T, axis1=1, axis2=3)
-    if keep == "B":
-        return np.trace(T, axis1=0, axis2=2)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+# one matrix is a batch with no leading axes
+partial_transpose = partial_transpose_batch
 
 
 def partial_trace_batch(rhos: np.ndarray, dims: tuple[int, int],
                         keep: str = "A") -> np.ndarray:
+    """Reduced matrices on the kept subsystem, shape (..., d_keep, d_keep)."""
     m, n = _check_bipartition(rhos.shape[-1], dims)
-    T = rhos.reshape(-1, m, n, m, n)
+    T = rhos.reshape(rhos.shape[:-2] + (m, n, m, n))
     if keep == "A":
-        return np.einsum("sijkj->sik", T)
+        return np.einsum("...ijkj->...ik", T)
     if keep == "B":
-        return np.einsum("sijil->sjl", T)
+        return np.einsum("...ijil->...jl", T)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2)."""
-    rho = _square(rho)
-    return float(np.einsum("ij,ji->", rho, rho).real)
-
-
 def purity_batch(rhos: np.ndarray) -> np.ndarray:
-    return np.einsum("sij,sji->s", rhos, rhos).real
-
-
-def is_ppt(rho: np.ndarray, dims: tuple[int, int],
-           tol: float = PPT_TOL) -> tuple[bool, float]:
-    """PPT test: (flag, minimum eigenvalue of the partial transpose over B).
-
-    The flag equals separability for m*n <= 6 (Peres-Horodecki); for larger
-    systems PPT is necessary but not sufficient.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    w = np.linalg.eigvalsh(partial_transpose(rho, dims, "B"))
-    wmin = float(w[0])
-    return wmin >= -tol, wmin
+    """tr(rho^2) of matrices of shape (..., d, d)."""
+    return np.einsum("...ij,...ji->...", rhos, rhos).real
 
 
 def min_pt_eigenvalue_batch(rhos: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Smallest eigenvalue of the partial transpose over B, per batch entry."""
-    pt = partial_transpose_batch(rhos, dims, "B")
-    return np.linalg.eigvalsh(pt)[:, 0]
+    """Smallest eigenvalue of the partial transpose over B, shape (...).
 
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix from the plain-text fixture format.
-
-    First line: dim.  Then dim^2 lines "re im" in row-major order.
+    The state is PPT when this is >= -PPT_TOL; PPT equals separability for
+    m*n <= 6 (Peres-Horodecki), for larger systems it is necessary only.
     """
-    with open(path) as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln]
-    d = int(lines[0])
-    if len(lines) != 1 + d * d:
-        raise ValueError(f"expected {d * d} entry lines, got {len(lines) - 1}")
-    vals = [complex(float(a), float(b)) for a, b in (ln.split() for ln in lines[1:])]
-    return np.array(vals, dtype=complex).reshape(d, d)
-
-
-def save_matrix(path, M: np.ndarray) -> None:
-    M = _square(M)
-    with open(path, "w") as fh:
-        fh.write(f"{M.shape[0]}\n")
-        for z in M.ravel():
-            fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
+    return np.linalg.eigvalsh(partial_transpose_batch(rhos, dims))[..., 0]

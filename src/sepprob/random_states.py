@@ -25,17 +25,6 @@ from numpy.random import Generator, Philox
 CHUNK_SAMPLES = 4096
 
 
-class DegenerateSample(RuntimeError):
-    """Ginibre draw with zero trace norm (probability zero)."""
-
-
-@dataclass(frozen=True)
-class SampleStream:
-    """Position in a reproducible sample stream."""
-    master_seed: int
-    sample_index: int = 0
-
-
 @dataclass(frozen=True)
 class MeasureSpec:
     """System dimension n, ancilla dimension k, and a measure label."""
@@ -69,7 +58,7 @@ def _chunk_uniforms(master_seed: int, chunk: int, skip: int, count: int) -> np.n
 
 
 def _uniforms(master_seed: int, start: int, count: int,
-              per_sample: int, chunk0_key: int = 0) -> np.ndarray:
+              per_sample: int) -> np.ndarray:
     """Uniforms for samples [start, start+count), concatenated."""
     out = np.empty(count * per_sample)
     pos = 0
@@ -79,7 +68,7 @@ def _uniforms(master_seed: int, start: int, count: int,
         chunk, off = divmod(i, CHUNK_SAMPLES)
         take = min(end - i, CHUNK_SAMPLES - off)
         out[pos:pos + take * per_sample] = _chunk_uniforms(
-            master_seed ^ chunk0_key, chunk, off * per_sample, take * per_sample)
+            master_seed, chunk, off * per_sample, take * per_sample)
         pos += take * per_sample
         i += take
     return out
@@ -98,21 +87,12 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def ginibre_batch(n: int, k: int, master_seed: int, start: int,
-                  count: int, _rekey: int = 0) -> np.ndarray:
+                  count: int) -> np.ndarray:
     """Ginibre matrices for sample indices [start, start+count), shape (count, n, k)."""
     per = 2 * n * k
-    u = _uniforms(master_seed, start, count, per, _rekey).reshape(count, per)
+    u = _uniforms(master_seed, start, count, per).reshape(count, per)
     z = _box_muller(u)
     return (z[:, :n * k] + 1j * z[:, n * k:]).reshape(count, n, k)
-
-
-def sample_ginibre(n: int, k: int, stream: SampleStream) -> np.ndarray:
-    """Single Ginibre matrix for (stream.master_seed, stream.sample_index)."""
-    return ginibre_batch(n, k, stream.master_seed, stream.sample_index, 1)[0]
-
-
-# xor key for the one permitted re-draw of a zero-trace Ginibre matrix
-_REDRAW_KEY = 0x9E3779B97F4A7C15
 
 
 def state_batch(measure: MeasureSpec, master_seed: int, start: int,
@@ -120,18 +100,6 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     """Density matrices for sample indices [start, start+count), shape (count, n, n)."""
     G = ginibre_batch(measure.n, measure.k, master_seed, start, count)
     M = G @ G.conj().transpose(0, 2, 1)
+    # tr > 0 unless every Box-Muller radius of a draw is 0 (p <= 2^-212)
     tr = np.trace(M, axis1=1, axis2=2).real
-    bad = np.flatnonzero(tr <= 0.0)
-    for i in bad:
-        G2 = ginibre_batch(measure.n, measure.k, master_seed, start + int(i), 1,
-                           _rekey=_REDRAW_KEY)[0]
-        M[i] = G2 @ G2.conj().T
-        tr[i] = np.trace(M[i]).real
-        if tr[i] <= 0.0:
-            raise DegenerateSample(f"zero-trace Ginibre draw at index {start + int(i)}")
     return M / tr[:, None, None]
-
-
-def sample_state(measure: MeasureSpec, stream: SampleStream) -> np.ndarray:
-    """Single random density matrix for the stream position."""
-    return state_batch(measure, stream.master_seed, stream.sample_index, 1)[0]

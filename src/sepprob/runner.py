@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -72,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("induced measure needs an ancilla dimension k >= 1")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.checkpoint_every < 1:
@@ -270,7 +273,10 @@ def save_checkpoint(cfg: ExperimentConfig, state: RunState, path=None) -> Path:
     payload["checksum"] = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(payload))
+    with open(tmp, "w") as fh:
+        fh.write(json.dumps(payload))
+        fh.flush()
+        os.fsync(fh.fileno())
     tmp.replace(path)
     return path
 

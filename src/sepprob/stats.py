@@ -299,8 +299,10 @@ def ratio_with_ci(hits: int, total: int, level: float = 0.95,
         denom = 1.0 + z2 / total
         center = (p + z2 / (2 * total)) / denom
         half = z * np.sqrt(p * (1.0 - p) / total + z2 / (4 * total * total)) / denom
-        return RatioEstimate(p, float(max(center - half, 0.0)),
-                             float(min(center + half, 1.0)), level, method)
+        # the exact bounds at hits = 0 and hits = total; rounding misses them
+        lo = 0.0 if hits == 0 else float(max(center - half, 0.0))
+        hi = 1.0 if hits == total else float(min(center + half, 1.0))
+        return RatioEstimate(p, lo, hi, level, method)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -168,8 +168,8 @@ def test_criterion_12_structural_properties(tmp_path_factory):
     failures = []
 
     rhos = state_batch(hilbert_schmidt(6), 777, 0, n)
-    pt = mc.partial_transpose_batch(rhos, (2, 3), "B")
-    if not np.array_equal(mc.partial_transpose_batch(pt, (2, 3), "B"), rhos):
+    pt = mc.partial_transpose_batch(rhos, (2, 3))
+    if not np.array_equal(mc.partial_transpose_batch(pt, (2, 3)), rhos):
         failures.append("PT involution")
     if np.abs(mc.purity_batch(rhos) - mc.purity_batch(pt)).max() > 1e-12:
         failures.append("PT purity preservation")

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -50,37 +52,82 @@ class TestSuBasis:
                 inv.su_basis(d)
 
 
+def gell_mann_vector(rho: np.ndarray) -> np.ndarray:
+    """n_a = tr(rho l_a), one generator at a time."""
+    return np.array([np.trace(rho @ lam).real
+                     for lam in inv.su_basis(rho.shape[0]).matrices])
+
+
+def gell_mann_radius(rho: np.ndarray) -> float:
+    d = rho.shape[0]
+    return 0.0 if d == 1 else np.linalg.norm(gell_mann_vector(rho)) / inv.radius_scale(d)
+
+
+def cubic_casimir_oracle(rho: np.ndarray) -> float:
+    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c over the sparse d-tensor entries."""
+    d = rho.shape[0]
+    nhat = gell_mann_vector(rho) / inv.radius_scale(d)
+    return sum(len(set(permutations((a, b, c)))) * val * nhat[a] * nhat[b] * nhat[c]
+               for (a, b, c), val in inv.d_tensor(d).entries.items())
+
+
+def fano_oracle(rho: np.ndarray) -> float:
+    sig = inv.su_basis(2).matrices
+    return sum(np.trace(rho @ np.kron(a, b)).real ** 2 for a in sig for b in sig)
+
+
+def record_oracle(rho: np.ndarray, dims: tuple[int, int]) -> dict:
+    """Per-state invariants by index loops and eigvalsh."""
+    m, n = dims
+    T = rho.reshape(m, n, m, n)
+    rho_a = sum(T[:, j, :, j] for j in range(n))
+    rho_b = sum(T[i, :, i, :] for i in range(m))
+    pt = np.empty_like(rho)
+    for i in range(m):
+        for j in range(n):
+            for k in range(m):
+                for l in range(n):
+                    pt[i * n + j, k * n + l] = rho[i * n + l, k * n + j]
+    out = {"r_a": gell_mann_radius(rho_a), "r_b": gell_mann_radius(rho_b),
+           "ppt": np.linalg.eigvalsh(pt)[0] >= -mc.PPT_TOL}
+    if m == 3:
+        out["c3_a"] = cubic_casimir_oracle(rho_a)
+    if n == 3:
+        out["c3_b"] = cubic_casimir_oracle(rho_b)
+    if dims == (2, 2):
+        out["c002"] = fano_oracle(rho)
+    return out
+
+
 class TestCoherenceVector:
     def test_maximally_mixed(self):
         for d in (2, 3, 4):
-            v = inv.coherence_vector(np.eye(d) / d, inv.su_basis(d))
-            assert np.abs(v.n).max() < 1e-14
-            assert v.radius == 0.0
+            n = inv.coherence_vectors_batch(np.eye(d) / d, inv.su_basis(d))
+            assert np.abs(n).max() < 1e-14
 
     def test_pure_qutrit(self):
-        v = inv.coherence_vector(np.diag([1.0, 0, 0]), inv.su_basis(3))
+        n = inv.coherence_vectors_batch(np.diag([1.0, 0, 0]), inv.su_basis(3))
         want = np.zeros(8)
         want[GM[3]] = 1.0
         want[GM[8]] = 1 / np.sqrt(3)
-        assert np.allclose(v.n, want, atol=1e-14)
-        assert abs(v.radius - 1.0) < 1e-12
+        assert np.allclose(n, want, atol=1e-14)
+        assert abs(np.linalg.norm(n) / inv.radius_scale(3) - 1.0) < 1e-12
 
     def test_qubit_diagonal(self):
-        v = inv.coherence_vector(np.diag([0.75, 0.25]), inv.su_basis(2))
-        assert np.allclose(v.n, [0, 0, 0.5], atol=1e-14)
-        assert abs(v.radius - 0.5) < 1e-14
+        n = inv.coherence_vectors_batch(np.diag([0.75, 0.25]), inv.su_basis(2))
+        assert np.allclose(n, [0, 0, 0.5], atol=1e-14)
+        assert abs(np.linalg.norm(n) / inv.radius_scale(2) - 0.5) < 1e-14
 
     def test_radius_is_one_iff_pure(self, rng):
         psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi /= np.linalg.norm(psi)
         pure = np.outer(psi, psi.conj())
-        assert abs(inv.coherence_vector(pure, inv.su_basis(3)).radius - 1) < 1e-8
-        mixed = random_density(rng, 3)
-        assert inv.coherence_vector(mixed, inv.su_basis(3)).radius < 1 - 1e-6
+        assert abs(gell_mann_radius(pure) - 1) < 1e-8
+        assert gell_mann_radius(random_density(rng, 3)) < 1 - 1e-6
 
     def test_shape_mismatch(self):
         with pytest.raises(mc.ShapeMismatch):
-            inv.coherence_vector(np.eye(2) / 2, inv.su_basis(3))
+            inv.coherence_vectors_batch(np.eye(2) / 2, inv.su_basis(3))
 
     def test_radius_purity_identity(self, rng):
         # radius^2 == (purity - 1/d)/(1 - 1/d): coherence-vector route vs
@@ -120,60 +167,58 @@ class TestDTensor:
                             (lam[a] @ lam[b] + lam[b] @ lam[a]) @ lam[c]).real
                         assert abs(dt.value(a, b, c) - want) < 1e-12
 
-    def test_dense_totally_symmetric(self):
-        D = inv.d_tensor(3).dense()
-        for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-            assert np.abs(D - D.transpose(perm)).max() < 1e-12
-
 
 class TestCubicCasimir:
     def test_maximally_mixed(self):
-        v = inv.coherence_vector(np.eye(3) / 3, inv.su_basis(3))
-        assert abs(inv.cubic_casimir(v, inv.d_tensor(3))) < 1e-14
+        assert abs(inv.cubic_casimir_batch(np.eye(3) / 3)) < 1e-14
 
     def test_pure_qutrit(self):
-        v = inv.coherence_vector(np.diag([1.0, 0, 0]), inv.su_basis(3))
-        assert abs(inv.cubic_casimir(v, inv.d_tensor(3)) - 1 / np.sqrt(3)) < 1e-12
+        assert abs(inv.cubic_casimir_batch(np.diag([1.0, 0, 0])) - 1 / np.sqrt(3)) < 1e-12
 
     def test_qubit_always_zero(self, rng):
-        for _ in range(20):
-            v = inv.coherence_vector(random_density(rng, 2), inv.su_basis(2))
-            assert inv.cubic_casimir(v, inv.d_tensor(2)) == 0.0
+        # su(2) has no d-tensor; the closed form cancels to rounding
+        assert inv.d_tensor(2).entries == {}
+        rhos = random_density(rng, 2, batch=20)
+        assert np.abs(inv.cubic_casimir_batch(rhos)).max() < 1e-14
 
-    def test_batch_matches_scalar(self, rng):
-        basis = inv.su_basis(3)
-        dt = inv.d_tensor(3)
+    def test_closed_form_matches_d_tensor_oracle(self):
+        rhos = state_batch(hilbert_schmidt(3), 9, 0, 20_000)
+        got = inv.cubic_casimir_batch(rhos)
+        want = np.array([cubic_casimir_oracle(rho) for rho in rhos])
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_batch_matches_scalar(self):
+        # one state is a batch with no leading axes
         rhos = state_batch(hilbert_schmidt(3), 9, 0, 200)
-        nv = inv.coherence_vectors_batch(rhos, basis)
-        got = inv.cubic_casimir_batch(nv, dt)
+        got = inv.cubic_casimir_batch(rhos)
+        grid = inv.cubic_casimir_batch(rhos.reshape(10, 20, 3, 3))
+        assert np.array_equal(grid.ravel(), got)
         for i in range(200):
-            v = inv.coherence_vector(rhos[i], basis)
-            assert abs(got[i] - inv.cubic_casimir(v, dt)) < 1e-12
+            assert abs(inv.cubic_casimir_batch(rhos[i]) - got[i]) < 1e-15
 
     def test_bound_on_random_qutrits(self):
         rhos = state_batch(hilbert_schmidt(3), 33, 0, 100_000)
-        nv = inv.coherence_vectors_batch(rhos, inv.su_basis(3))
-        c3 = inv.cubic_casimir_batch(nv, inv.d_tensor(3))
+        c3 = inv.cubic_casimir_batch(rhos)
         assert np.abs(c3).max() <= 1 / np.sqrt(3) + 1e-9
 
     def test_unitary_covariance(self, rng):
         basis = inv.su_basis(3)
-        dt = inv.d_tensor(3)
         for _ in range(50):
             rho = random_density(rng, 3)
             U = haar_unitary(rng, 3)
-            v0 = inv.coherence_vector(rho, basis)
-            v1 = inv.coherence_vector(U @ rho @ U.conj().T, basis)
-            assert abs(v0.radius - v1.radius) < 1e-10
-            assert abs(inv.cubic_casimir(v0, dt) - inv.cubic_casimir(v1, dt)) < 1e-10
+            rot = U @ rho @ U.conj().T
+            n0 = inv.coherence_vectors_batch(rho, basis)
+            n1 = inv.coherence_vectors_batch(rot, basis)
+            assert abs(np.linalg.norm(n0) - np.linalg.norm(n1)) < 1e-10
+            assert abs(inv.cubic_casimir_batch(rho) - inv.cubic_casimir_batch(rot)) < 1e-10
 
 
 class TestFanoCorrelationInvariant:
     def test_maximally_mixed(self):
-        assert abs(inv.fano_correlation_invariant(np.eye(4) / 4)) < 1e-14
+        assert abs(inv.fano_correlation_invariant_batch(np.eye(4) / 4)) < 1e-14
 
     def test_bell(self):
-        assert abs(inv.fano_correlation_invariant(bell_psi_minus()) - 3.0) < 1e-12
+        assert abs(inv.fano_correlation_invariant_batch(bell_psi_minus()) - 3.0) < 1e-12
 
     def test_product_state(self, rng):
         a = random_density(rng, 2)
@@ -182,7 +227,7 @@ class TestFanoCorrelationInvariant:
         ra = np.einsum("ij,aji->a", a, sig).real
         rb = np.einsum("ij,aji->a", b, sig).real
         want = np.dot(ra, ra) * np.dot(rb, rb)
-        got = inv.fano_correlation_invariant(np.kron(a, b))
+        got = inv.fano_correlation_invariant_batch(np.kron(a, b))
         assert abs(got - want) < 1e-12
 
     def test_range_on_random_states(self):
@@ -193,29 +238,29 @@ class TestFanoCorrelationInvariant:
 
     def test_shape_mismatch(self):
         with pytest.raises(mc.ShapeMismatch):
-            inv.fano_correlation_invariant(np.eye(6) / 6)
+            inv.fano_correlation_invariant_batch(np.eye(6) / 6)
 
 
 class TestRecord:
     def test_maximally_mixed_2x3(self):
-        r = inv.record(np.eye(6) / 6, (2, 3))
-        assert r.r_a == 0.0 and r.r_b == 0.0
-        assert abs(r.c3_b) < 1e-14
-        assert r.ppt and r.c002 is None
+        r = inv.record_batch(np.eye(6) / 6, (2, 3))
+        assert r["r_a"] == 0.0 and r["r_b"] == 0.0
+        assert abs(r["c3_b"]) < 1e-14
+        assert r["ppt"] and "c002" not in r
 
     def test_pure_product_2x3(self, rng):
         psi_a = np.array([1.0, 0])
         psi_b = np.array([0, 1.0, 0])
         rho = np.kron(np.outer(psi_a, psi_a), np.outer(psi_b, psi_b)).astype(complex)
-        r = inv.record(rho, (2, 3))
-        assert abs(r.r_a - 1) < 1e-12 and abs(r.r_b - 1) < 1e-12
-        assert r.ppt
+        r = inv.record_batch(rho, (2, 3))
+        assert abs(r["r_a"] - 1) < 1e-12 and abs(r["r_b"] - 1) < 1e-12
+        assert r["ppt"]
 
     def test_bell_2x2(self):
-        r = inv.record(bell_psi_minus(), (2, 2))
-        assert not r.ppt
-        assert abs(r.c002 - 3.0) < 1e-12
-        assert r.c3_b is None
+        r = inv.record_batch(bell_psi_minus(), (2, 2))
+        assert not r["ppt"]
+        assert abs(r["c002"] - 3.0) < 1e-12
+        assert "c3_b" not in r
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
     def test_batch_matches_scalar(self, dims):
@@ -223,15 +268,11 @@ class TestRecord:
         rhos = state_batch(hilbert_schmidt(d), 13, 0, 100)
         out = inv.record_batch(rhos, dims)
         for i in range(100):
-            r = inv.record(rhos[i], dims)
-            assert abs(out["r_a"][i] - r.r_a) < 1e-10
-            assert abs(out["r_b"][i] - r.r_b) < 1e-10
-            assert abs(out["c2_a"][i] - r.c2_a) < 1e-10
-            assert out["ppt"][i] == r.ppt
-            if dims[1] == 3:
-                assert abs(out["c3_b"][i] - r.c3_b) < 1e-10
-            if dims == (2, 2):
-                assert abs(out["c002"][i] - r.c002) < 1e-10
+            r = record_oracle(rhos[i], dims)
+            assert out["ppt"][i] == r.pop("ppt")
+            for key, want in r.items():
+                assert abs(out[key][i] - want) < 1e-10, key
+            assert abs(out["c2_a"][i] - r["r_a"] ** 2) < 1e-10
 
     def test_c2_is_radius_squared(self):
         rhos = state_batch(hilbert_schmidt(6), 3, 0, 1_000)
@@ -242,7 +283,7 @@ class TestRecord:
     def test_pt_insensitivity(self):
         # invariants of the reduced states are unchanged by partial transpose
         rhos = state_batch(hilbert_schmidt(6), 29, 0, 10_000)
-        pt = mc.partial_transpose_batch(rhos, (2, 3), "B")
+        pt = mc.partial_transpose_batch(rhos, (2, 3))
         a = inv.record_batch(rhos, (2, 3))
         b = inv.record_batch(pt, (2, 3))
         for key in ("r_a", "r_b", "c2_a", "c2_b", "c3_b"):

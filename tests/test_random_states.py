@@ -21,17 +21,16 @@ class TestMeasureSpec:
 
 class TestDeterminism:
     def test_same_key_same_matrix(self):
-        s = rs.SampleStream(master_seed=123, sample_index=77)
-        G1 = rs.sample_ginibre(4, 5, s)
-        G2 = rs.sample_ginibre(4, 5, s)
+        G1 = rs.ginibre_batch(4, 5, 123, 77, 1)
+        G2 = rs.ginibre_batch(4, 5, 123, 77, 1)
         assert np.array_equal(G1, G2)
 
     def test_batch_matches_singles_across_chunk_boundary(self):
         start = rs.CHUNK_SAMPLES - 5
         batch = rs.ginibre_batch(2, 3, 99, start, 10)
         for i in range(10):
-            single = rs.sample_ginibre(2, 3, rs.SampleStream(99, start + i))
-            assert np.array_equal(batch[i], single)
+            single = rs.ginibre_batch(2, 3, 99, start + i, 1)
+            assert np.array_equal(batch[i], single[0])
 
     def test_partition_independence(self):
         # any split of an index range reproduces the same states bit-for-bit
@@ -42,8 +41,8 @@ class TestDeterminism:
         assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_different_seeds_differ(self):
-        a = rs.sample_state(rs.hilbert_schmidt(4), rs.SampleStream(1, 0))
-        b = rs.sample_state(rs.hilbert_schmidt(4), rs.SampleStream(2, 0))
+        a = rs.state_batch(rs.hilbert_schmidt(4), 1, 0, 1)
+        b = rs.state_batch(rs.hilbert_schmidt(4), 2, 0, 1)
         assert not np.allclose(a, b)
 
 
@@ -64,8 +63,8 @@ class TestGinibreDistribution:
 
 class TestSampleState:
     def test_trivial_one_dimensional(self):
-        rho = rs.sample_state(rs.induced(1, 4), rs.SampleStream(3, 0))
-        assert np.allclose(rho, [[1.0]], atol=1e-15)
+        rho = rs.state_batch(rs.induced(1, 4), 3, 0, 1)
+        assert np.allclose(rho, [[[1.0]]], atol=1e-15)
 
     def test_density_invariants(self):
         rhos = rs.state_batch(rs.hilbert_schmidt(6), 17, 0, 2_000)

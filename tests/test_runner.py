@@ -133,6 +133,31 @@ class TestCheckpointResume:
         with pytest.raises(rn.CorruptCheckpoint):
             rn.load_checkpoint(ck)
 
+    def test_failed_block_leaves_resumable_checkpoint(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
+        real = rn._range_stats
+        calls = []
+
+        def fail_on_second_block(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("injected worker fault")
+            return real(*args)
+
+        monkeypatch.setattr(rn, "_range_stats", fail_on_second_block)
+        with pytest.raises(RuntimeError, match="injected"):
+            rn.run_experiment(cfg)
+        monkeypatch.setattr(rn, "_range_stats", real)
+        _, state = rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir), cfg)
+        assert state.next_index == 10_000
+        resumed = rn.run_experiment(cfg, state=state)
+
+        straight = rn.run_experiment(small_cfg(tmp_path / "straight", samples=30_000,
+                                               checkpoint_every=10_000))
+        assert resumed.n_ppt == straight.n_ppt
+        assert hist_state_dict(resumed) == hist_state_dict(straight)
+        assert resumed.joint.to_dict() == straight.joint.to_dict()
+
     def test_resume_of_completed_run(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
         first = rn.run_experiment(cfg)
@@ -217,6 +242,20 @@ class TestCli:
                        "4000", "--resume"])
         assert rc == 0
         assert "resuming from sample index 4000" in capsys.readouterr().out
+
+    def test_resume_without_checkpoint_says_so(self, tmp_path, capsys):
+        out = tmp_path / "fresh_run"
+        rc = cli.main(["sample", "--shape", "2x2", "--samples", "2000",
+                       "--seed", "3", "--out", str(out), "--resume"])
+        assert rc == 0
+        assert f"no checkpoint in {out}; starting at sample 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_out_of_range_exit_code(self, tmp_path, capsys, seed):
+        assert cli.main(["sample", "--shape", "2x2", "--samples", "10",
+                         "--seed", seed, "--out", str(tmp_path / "s")]) == 1
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        rn.ExperimentConfig(dim_a=2, dim_b=2, seed=2 ** 64 - 1)
 
     def test_validation_error_exit_code(self, tmp_path):
         assert cli.main(["sample", "--shape", "nope", "--samples", "10",

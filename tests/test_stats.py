@@ -92,10 +92,13 @@ class TestRatioWithCi:
         assert abs(est.ci_hi - 0.000104161) < 1e-7
 
     def test_wilson_zero_count(self):
-        est = st.ratio_with_ci(0, 100, 0.95, "wilson")
-        assert est.p_hat == 0.0
-        assert est.ci_lo == 0.0
-        assert est.ci_hi > 0.0
+        for total in (100, 1000, 10 ** 7):
+            est = st.ratio_with_ci(0, total, 0.95, "wilson")
+            assert est.p_hat == 0.0
+            assert est.ci_lo == 0.0
+            assert est.ci_hi > 0.0
+            full = st.ratio_with_ci(total, total, 0.95, "wilson")
+            assert full.ci_hi == 1.0 and full.ci_lo < 1.0
 
     def test_wilson_brackets_estimate(self, rng):
         for _ in range(50):
