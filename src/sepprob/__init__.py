@@ -1,8 +1,8 @@
 """Monte Carlo laboratory for separability/PPT probabilities of random
 bipartite quantum states over Bloch radii and Casimir invariants."""
 
-from .matrix_core import (hermitian_eigenvalues, min_pt_eigenvalue_batch,
-                          partial_trace_batch, partial_transpose, purity_batch)
+from .matrix_core import (min_pt_eigenvalue_batch, partial_trace_batch,
+                          partial_transpose, purity_batch)
 from .random_states import MeasureSpec, hilbert_schmidt, induced, state_batch
 from .invariants import (cubic_casimir_batch, d_tensor, record_batch,
                          su_basis)
@@ -14,10 +14,10 @@ from .runner import ExperimentConfig, export, run_experiment
 __version__ = "0.1.0"
 
 __all__ = [
-    "hermitian_eigenvalues", "min_pt_eigenvalue_batch", "partial_trace_batch",
-    "partial_transpose", "purity_batch", "MeasureSpec", "hilbert_schmidt",
-    "induced", "state_batch", "cubic_casimir_batch", "d_tensor",
-    "record_batch", "su_basis", "Axis", "HistogramPair", "JointHistogram",
-    "RatioEstimate", "fit_scale", "flatness_test", "ratio_with_ci", "f_term",
-    "p_alpha", "q_poly", "ExperimentConfig", "export", "run_experiment",
+    "min_pt_eigenvalue_batch", "partial_trace_batch", "partial_transpose",
+    "purity_batch", "MeasureSpec", "hilbert_schmidt", "induced", "state_batch",
+    "cubic_casimir_batch", "d_tensor", "record_batch", "su_basis", "Axis",
+    "HistogramPair", "JointHistogram", "RatioEstimate", "fit_scale",
+    "flatness_test", "ratio_with_ci", "f_term", "p_alpha", "q_poly",
+    "ExperimentConfig", "export", "run_experiment",
 ]

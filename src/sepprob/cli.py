@@ -104,7 +104,7 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    ck = Path(args.in_dir) / "checkpoint.json" if Path(args.in_dir).is_dir() \
+    ck = checkpoint_path(args.in_dir) if Path(args.in_dir).is_dir() \
         else Path(args.in_dir)
     cfg, state = load_checkpoint(ck)
     report = assemble_report(cfg, state)

@@ -3,8 +3,9 @@ ranges, checkpoint/resume, report assembly and CSV export.
 
 Workers own private histograms over disjoint contiguous index ranges and
 results are merged with commutative sums, so no result depends on worker
-count or scheduling order.  Checkpoints are JSON (config hash, next sample
-index, all histogram counts) with an embedded checksum.
+count or scheduling order.  A checkpoint is a line with the sha256 hex
+digest of the bytes after it, then one JSON object: the config and its
+hash, the next sample index and all histogram counts.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-
-import numpy as np
 
 from .invariants import record_batch
 from .random_states import MeasureSpec, state_batch
@@ -59,6 +58,12 @@ class ExperimentConfig:
     symmetrize: bool = False
 
     def __post_init__(self):
+        # every field is an int (k may be None) but these; a bool is no int here
+        kinds = {"measure": str, "out_dir": str, "symmetrize": bool}
+        for name, value in vars(self).items():
+            kind = kinds.get(name, int)
+            if type(value) is not kind and not (name == "k" and value is None):
+                raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         n = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1 or n < 2:
             raise ConfigError(f"invalid shape {self.dim_a}x{self.dim_b}")
@@ -109,6 +114,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         merged = {**d, **{k: v for k, v in overrides.items() if v is not None}}
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(merged) - known
@@ -146,38 +153,45 @@ class RunState:
                    hists={lb: HistogramPair(axis=ax) for lb, ax in axes.items()},
                    joint=JointHistogram(axis_x=axes["r_A"], axis_y=axes["R_B"]))
 
+    def merge(self, part: "RunState") -> None:
+        """Add the counts of a part (one worker's index range) to this state."""
+        self.n_total += part.n_total
+        self.n_ppt += part.n_ppt
+        for lb, h in self.hists.items():
+            self.hists[lb] = h.merge(part.hists[lb])
+        self.joint = self.joint.merge(part.joint)
 
-def _range_stats(cfg_dict: dict, start: int, count: int):
-    """Histograms for one contiguous sample-index range (runs in a worker)."""
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    def to_dict(self) -> dict:
+        return {"next_index": self.next_index, "n_total": self.n_total,
+                "n_ppt": self.n_ppt, "elapsed": self.elapsed,
+                "histograms": {lb: h.to_dict() for lb, h in self.hists.items()},
+                "joint": self.joint.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunState":
+        return cls(next_index=d["next_index"], n_total=d["n_total"],
+                   n_ppt=d["n_ppt"], elapsed=d["elapsed"],
+                   hists={lb: HistogramPair.from_dict(h)
+                          for lb, h in d["histograms"].items()},
+                   joint=JointHistogram.from_dict(d["joint"]))
+
+
+def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
+    """Counts of one contiguous sample-index range (runs in a worker)."""
+    part = RunState.fresh(cfg)
     measure = cfg.measure_spec()
     dims = (cfg.dim_a, cfg.dim_b)
-    axes = cfg.axes()
-    hists = {lb: HistogramPair(axis=ax) for lb, ax in axes.items()}
-    joint = JointHistogram(axis_x=axes["r_A"], axis_y=axes["R_B"])
-    n_ppt = 0
-    pos = start
     end = start + count
-    while pos < end:
-        take = min(SUB_BATCH, end - pos)
-        rhos = state_batch(measure, cfg.seed, pos, take)
+    for pos in range(start, end, SUB_BATCH):
+        rhos = state_batch(measure, cfg.seed, pos, min(SUB_BATCH, end - pos))
         rec = record_batch(rhos, dims)
         ppt = rec["ppt"]
-        n_ppt += int(ppt.sum())
-        for lb, h in hists.items():
+        part.n_ppt += int(ppt.sum())
+        for lb, h in part.hists.items():
             h.accumulate_many(rec[AXIS_KEYS[lb]], ppt)
-        joint.accumulate_many(rec["r_a"], rec["r_b"], ppt)
-        pos += take
-    return count, n_ppt, hists, joint
-
-
-def _merge_results(state: RunState, results) -> None:
-    for count, n_ppt, hists, joint in results:
-        state.n_total += count
-        state.n_ppt += n_ppt
-        for lb in state.hists:
-            state.hists[lb] = state.hists[lb].merge(hists[lb])
-        state.joint = state.joint.merge(joint)
+        part.joint.accumulate_many(rec["r_a"], rec["r_b"], ppt)
+    part.n_total = count
+    return part
 
 
 def _split_range(start: int, count: int, parts: int) -> list[tuple[int, int]]:
@@ -235,8 +249,7 @@ def _report_fits(cfg: ExperimentConfig, hists: dict) -> dict:
     return fits
 
 
-def assemble_report(cfg: ExperimentConfig, state: RunState,
-                    flatness_min_total: int = 1000) -> ExperimentReport:
+def assemble_report(cfg: ExperimentConfig, state: RunState) -> ExperimentReport:
     overall = {}
     if state.n_total:
         for level, method in ((0.95, "wilson"), (0.999, "wald")):
@@ -246,7 +259,7 @@ def assemble_report(cfg: ExperimentConfig, state: RunState,
     flatness = {}
     for lb, h in state.hists.items():
         try:
-            chi2, dof, p = flatness_test(h, min_total=flatness_min_total)
+            chi2, dof, p = flatness_test(h)
             flatness[lb] = {"chi2": chi2, "dof": dof, "p_value": p}
         except InsufficientData:
             flatness[lb] = None
@@ -262,19 +275,14 @@ def checkpoint_path(out_dir) -> Path:
     return Path(out_dir) / "checkpoint.json"
 
 
-def save_checkpoint(cfg: ExperimentConfig, state: RunState, path=None) -> Path:
-    path = Path(path) if path else checkpoint_path(cfg.out_dir)
+def save_checkpoint(cfg: ExperimentConfig, state: RunState) -> Path:
+    path = checkpoint_path(cfg.out_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
-               "next_index": state.next_index, "n_total": state.n_total,
-               "n_ppt": state.n_ppt, "elapsed": state.elapsed,
-               "histograms": {lb: h.to_dict() for lb, h in state.hists.items()},
-               "joint": state.joint.to_dict()}
-    payload["checksum"] = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    body = json.dumps({"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
+                       **state.to_dict()}).encode()
     tmp = path.with_suffix(".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(payload))
+    with open(tmp, "wb") as fh:
+        fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
         fh.flush()
         os.fsync(fh.fileno())
     tmp.replace(path)
@@ -283,28 +291,21 @@ def save_checkpoint(cfg: ExperimentConfig, state: RunState, path=None) -> Path:
 
 def load_checkpoint(path, cfg: ExperimentConfig | None = None
                     ) -> tuple[ExperimentConfig, RunState]:
-    """Load a checkpoint; verify checksum and, if cfg is given, its hash."""
+    """Load a checkpoint; verify its digest and, if cfg is given, its hash."""
     try:
-        payload = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, OSError) as exc:
+        digest, _, body = Path(path).read_bytes().partition(b"\n")
+    except OSError as exc:
         raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
-    stored = payload.pop("checksum", None)
-    actual = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    if stored != actual:
+    if digest != hashlib.sha256(body).hexdigest().encode():
         raise CorruptCheckpoint(f"checksum mismatch in {path}")
+    payload = json.loads(body)
     ck_cfg = ExperimentConfig.from_dict(payload["config"])
     if payload["config_hash"] != ck_cfg.config_hash():
         raise CorruptCheckpoint(f"config hash mismatch in {path}")
     if cfg is not None and cfg.config_hash() != payload["config_hash"]:
         raise ConfigHashMismatch(
             "checkpoint was written by a different configuration")
-    state = RunState(
-        next_index=payload["next_index"], n_total=payload["n_total"],
-        n_ppt=payload["n_ppt"], elapsed=payload["elapsed"],
-        hists={lb: HistogramPair.from_dict(d)
-               for lb, d in payload["histograms"].items()},
-        joint=JointHistogram.from_dict(payload["joint"]))
-    return ck_cfg, state
+    return ck_cfg, RunState.from_dict(payload)
 
 
 def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
@@ -320,19 +321,18 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
     limit = cfg.samples if stop_after is None else min(
         cfg.samples, state.next_index + stop_after)
     pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    cfg_dict = cfg.to_dict()
     try:
         while state.next_index < limit:
             block = min(cfg.checkpoint_every, limit - state.next_index)
-            parts = _split_range(state.next_index, block, cfg.workers)
+            ranges = _split_range(state.next_index, block, cfg.workers)
             t0 = time.perf_counter()
             if pool is None:
-                results = [_range_stats(cfg_dict, s, c) for s, c in parts]
+                parts = [_range_stats(cfg, s, c) for s, c in ranges]
             else:
-                futures = [pool.submit(_range_stats, cfg_dict, s, c)
-                           for s, c in parts]
-                results = [f.result() for f in futures]
-            _merge_results(state, results)
+                futures = [pool.submit(_range_stats, cfg, s, c) for s, c in ranges]
+                parts = [f.result() for f in futures]
+            for part in parts:
+                state.merge(part)
             state.next_index += block
             state.elapsed += time.perf_counter() - t0
             save_checkpoint(cfg, state)

@@ -93,9 +93,6 @@ class HistogramPair:
         if self.hits is None:
             self.hits = np.zeros(self.axis.bins, dtype=np.int64)
 
-    def accumulate(self, value: float, ppt: bool) -> None:
-        self.accumulate_many(np.array([value]), np.array([bool(ppt)]))
-
     def accumulate_many(self, values: np.ndarray, ppt: np.ndarray) -> None:
         idx, ok = self.axis.indices(values)
         ppt = np.asarray(ppt, dtype=bool)
@@ -113,10 +110,7 @@ class HistogramPair:
                              out_total=self.out_total + other.out_total,
                              out_hits=self.out_hits + other.out_hits)
 
-    def n_accumulated(self) -> int:
-        return int(self.total.sum()) + self.out_total
-
-    def to_csv(self, path, level: float = 0.95, method: str = "wilson") -> None:
+    def to_csv(self, path) -> None:
         edges = self.axis.edges()
         with open(path, "w", newline="") as fh:
             fh.write(f"# axis={self.axis.label} lo={self.axis.lo} hi={self.axis.hi}"
@@ -128,8 +122,7 @@ class HistogramPair:
                 row = [f"{edges[i]:.10g}", f"{edges[i + 1]:.10g}",
                        int(self.total[i]), int(self.hits[i])]
                 if self.total[i] > 0:
-                    est = ratio_with_ci(int(self.hits[i]), int(self.total[i]),
-                                        level, method)
+                    est = ratio_with_ci(int(self.hits[i]), int(self.total[i]))
                     row += [f"{est.p_hat:.10g}", f"{est.ci_lo:.10g}", f"{est.ci_hi:.10g}"]
                 else:
                     row += ["", "", ""]
@@ -218,12 +211,6 @@ class JointHistogram:
                               out_total=2 * self.out_total,
                               out_hits=2 * self.out_hits)
 
-    def cell_ratio(self, i: int, j: int, level: float = 0.95,
-                   method: str = "wilson") -> "RatioEstimate":
-        if self.total[i, j] == 0:
-            raise EmptyCell(f"joint cell ({i}, {j}) has no samples")
-        return ratio_with_ci(int(self.hits[i, j]), int(self.total[i, j]), level, method)
-
     def marginal(self, axis: str) -> HistogramPair:
         if axis == "x":
             return HistogramPair(axis=self.axis_x, total=self.total.sum(axis=1),
@@ -236,16 +223,16 @@ class JointHistogram:
         raise ValueError("axis must be 'x' or 'y'")
 
     def to_csv(self, path) -> None:
+        """One row per nonempty cell, x-major."""
+        i, j = np.nonzero(self.total | self.hits)
         with open(path, "w", newline="") as fh:
             fh.write(f"# axis_x={self.axis_x.label} axis_y={self.axis_y.label}"
                      f" bins={self.axis_x.bins}x{self.axis_y.bins}\n")
             fh.write(f"# out_total={self.out_total} out_hits={self.out_hits}\n")
             w = csv.writer(fh)
             w.writerow(["xbin", "ybin", "total", "hits"])
-            for i in range(self.axis_x.bins):
-                for j in range(self.axis_y.bins):
-                    if self.total[i, j] or self.hits[i, j]:
-                        w.writerow([i, j, int(self.total[i, j]), int(self.hits[i, j])])
+            w.writerows(zip(i.tolist(), j.tolist(), self.total[i, j].tolist(),
+                            self.hits[i, j].tolist()))
 
     def to_dict(self) -> dict:
         return {"axis_x": {"label": self.axis_x.label, "lo": self.axis_x.lo,
@@ -313,20 +300,17 @@ def chi2_sf(x: float, dof: int) -> float:
     return float(gammaincc(dof / 2.0, x / 2.0))
 
 
-def flatness_test(h: HistogramPair, min_total: int = 1000,
-                  exclude_last_bin: bool = True) -> tuple[float, int, float]:
+def flatness_test(h: HistogramPair, min_total: int = 1000) -> tuple[float, int, float]:
     """Pearson chi-square homogeneity test of the per-bin proportions.
 
     Restricted to bins with total >= min_total; the top boundary bin is
-    excluded by default (the invariance claim is for the half-open
-    interval below the pure-state boundary).  Returns (chi2, dof, p_value).
+    excluded (the invariance claim is for the half-open interval below the
+    pure-state boundary).  Returns (chi2, dof, p_value).
     """
     total = h.total.astype(float)
     hits = h.hits.astype(float)
     mask = h.total >= min_total
-    if exclude_last_bin:
-        mask = mask.copy()
-        mask[-1] = False
+    mask[-1] = False
     if mask.sum() < 2:
         raise InsufficientData("need at least 2 bins with total >= min_total")
     t = total[mask]

@@ -16,6 +16,17 @@ def random_density(rng, d: int, batch: int | None = None) -> np.ndarray:
     return M / (tr[..., None, None] if batch else tr)
 
 
+def loop_partial_transpose(rho: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Partial transpose over B of one m*n matrix, entry by entry."""
+    pt = np.empty_like(rho)
+    for i in range(m):
+        for j in range(n):
+            for k in range(m):
+                for l in range(n):
+                    pt[i * n + j, k * n + l] = rho[i * n + l, k * n + j]
+    return pt
+
+
 def haar_unitary(rng, d: int) -> np.ndarray:
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(G)

@@ -6,7 +6,8 @@ import pytest
 from sepprob import invariants as inv
 from sepprob import matrix_core as mc
 from sepprob.random_states import hilbert_schmidt, state_batch
-from conftest import bell_psi_minus, haar_unitary, random_density
+from conftest import (bell_psi_minus, haar_unitary, loop_partial_transpose,
+                      random_density)
 
 # position of standard Gell-Mann lambda_i in the module's frozen basis order
 GM = {1: 0, 2: 3, 3: 6, 4: 1, 5: 4, 6: 2, 7: 5, 8: 7}
@@ -82,12 +83,7 @@ def record_oracle(rho: np.ndarray, dims: tuple[int, int]) -> dict:
     T = rho.reshape(m, n, m, n)
     rho_a = sum(T[:, j, :, j] for j in range(n))
     rho_b = sum(T[i, :, i, :] for i in range(m))
-    pt = np.empty_like(rho)
-    for i in range(m):
-        for j in range(n):
-            for k in range(m):
-                for l in range(n):
-                    pt[i * n + j, k * n + l] = rho[i * n + l, k * n + j]
+    pt = loop_partial_transpose(rho, m, n)
     out = {"r_a": gell_mann_radius(rho_a), "r_b": gell_mann_radius(rho_b),
            "ppt": np.linalg.eigvalsh(pt)[0] >= -mc.PPT_TOL}
     if m == 3:

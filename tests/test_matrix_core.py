@@ -2,45 +2,57 @@ import numpy as np
 import pytest
 
 from sepprob import matrix_core as mc
-from conftest import bell_psi_minus, random_density
+from conftest import bell_psi_minus, loop_partial_transpose, random_density
 
 
 def werner(p: float) -> np.ndarray:
     return p * bell_psi_minus() + (1 - p) * np.eye(4) / 4
 
 
+def check_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
+    """Fail unless rho is Hermitian, unit-trace and numerically PSD."""
+    assert np.abs(rho - rho.conj().T).max() <= tol
+    assert abs(np.trace(rho) - 1.0) <= tol
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+
 class TestHermitianEigenvalues:
+    """The one eigenvalue the kernel computes: the bottom of the spectrum of
+    rho^Gamma.  With dims (d, 1) the partial transpose is the identity map."""
+
     def test_diagonal(self):
-        w = mc.hermitian_eigenvalues(np.diag([0.25, 0.75]))
-        assert np.allclose(w, [0.25, 0.75], atol=1e-14)
+        M = np.array([np.diag([0.25, 0.75]), np.diag([0.75, 0.25])])
+        w = mc.min_pt_eigenvalue_batch(M, (2, 1))
+        assert np.allclose(w, [0.25, 0.25], atol=1e-14)
 
     def test_pauli_x(self):
-        w = mc.hermitian_eigenvalues(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-14)
+        X = np.array([[0, 1], [1, 0]], dtype=complex)
+        for dims in ((2, 1), (1, 2)):
+            assert abs(mc.min_pt_eigenvalue_batch(X, dims) + 1.0) < 1e-14
 
     def test_bell_partial_transpose_spectrum(self):
+        # rho^Gamma has spectrum {-1/2, 1/2, 1/2, 1/2}; (rho^Gamma)^Gamma = rho
+        # is a projector with spectrum {0, 0, 0, 1}
         pt = mc.partial_transpose(bell_psi_minus(), (2, 2))
-        w = mc.hermitian_eigenvalues(pt)
-        assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        w = mc.min_pt_eigenvalue_batch(np.stack([bell_psi_minus(), pt]), (2, 2))
+        assert np.allclose(w, [-0.5, 0.0], atol=1e-12)
 
     def test_ascending_order(self, rng):
-        for d in (3, 6, 9):
-            M = random_density(rng, d) * d  # unnormalized Hermitian
-            w = mc.hermitian_eigenvalues(M)
-            assert np.all(np.diff(w) >= 0)
-
-    def test_non_hermitian_rejected(self):
-        M = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(mc.NonHermitianInput):
-            mc.hermitian_eigenvalues(M)
-
-    def test_dimension_cap(self):
-        with pytest.raises(mc.ShapeMismatch):
-            mc.hermitian_eigenvalues(np.eye(17))
+        # no Rayleigh quotient of rho^Gamma lies below its smallest eigenvalue
+        for dims in ((1, 3), (2, 3), (3, 3)):
+            d = dims[0] * dims[1]
+            M = random_density(rng, d, batch=200) * d  # unnormalized Hermitian
+            w = mc.min_pt_eigenvalue_batch(M, dims)
+            pt = mc.partial_transpose_batch(M, dims)
+            x = rng.standard_normal((200, d)) + 1j * rng.standard_normal((200, d))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            quotient = np.einsum("bi,bij,bj->b", x.conj(), pt, x).real
+            assert np.all(w <= quotient + 1e-12)
+            assert np.all(w[:, None] <= np.diagonal(pt, axis1=1, axis2=2).real + 1e-12)
 
     def test_charpoly_root_oracle(self, rng):
-        # independent route: Newton-identity characteristic polynomial
-        # coefficients + companion-matrix root finding
+        # independent route: loop partial transpose, then Newton-identity
+        # characteristic polynomial coefficients + companion-matrix roots
         def charpoly_roots(M):
             d = M.shape[0]
             p, P = [], np.eye(d, dtype=complex)
@@ -55,11 +67,13 @@ class TestHermitianEigenvalues:
             return np.sort(np.roots(coeffs).real)
 
         count = 0
-        for d in range(2, 10):
-            for _ in range(125):
-                G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                M = (G + G.conj().T) / (2 * np.sqrt(d))
-                assert np.abs(mc.hermitian_eigenvalues(M) - charpoly_roots(M)).max() < 1e-9
+        for m, n in ((2, 2), (2, 3), (2, 4), (3, 3)):
+            d = m * n
+            G = rng.standard_normal((250, d, d)) + 1j * rng.standard_normal((250, d, d))
+            M = (G + np.conj(np.swapaxes(G, -1, -2))) / (2 * np.sqrt(d))
+            got = mc.min_pt_eigenvalue_batch(M, (m, n))
+            for M_i, w in zip(M, got):
+                assert abs(w - charpoly_roots(loop_partial_transpose(M_i, m, n))[0]) < 1e-9
                 count += 1
         assert count == 1000
 
@@ -141,7 +155,7 @@ class TestPartialTrace:
     def test_reduced_is_density(self, rng):
         rho = random_density(rng, 6)
         for keep in ("A", "B"):
-            mc.check_density_matrix(mc.partial_trace_batch(rho, (2, 3), keep))
+            check_density_matrix(mc.partial_trace_batch(rho, (2, 3), keep))
 
     def test_loop_oracle_any_leading_shape(self, rng):
         rhos = random_density(rng, 6, batch=60).reshape(3, 20, 6, 6)

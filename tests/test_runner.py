@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepprob import cli
 from sepprob import runner as rn
@@ -17,6 +18,45 @@ def small_cfg(tmp_path, **kw):
 
 def hist_state_dict(report):
     return {lb: h.to_dict() for lb, h in report.hists.items()}
+
+
+def write_parent_format(path, cfg, state):
+    """A checkpoint as the earlier format wrote it: one JSON object whose
+    "checksum" key is the sha256 of the sorted-key dump of the rest."""
+    payload = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
+               **state.to_dict()}
+    payload["checksum"] = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    path.write_text(json.dumps(payload))
+
+
+@st.composite
+def run_states(draw, out_dir):
+    """A valid config writing to out_dir and a state with arbitrary counts."""
+    dim_a, dim_b = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]))
+    induced = draw(st.booleans())
+    cfg = rn.ExperimentConfig(
+        dim_a=dim_a, dim_b=dim_b, measure="induced" if induced else "hs",
+        k=draw(st.integers(1, 64)) if induced else None,
+        samples=draw(st.integers(1, 2 ** 62)), seed=draw(st.integers(0, 2 ** 64 - 1)),
+        bins=draw(st.integers(1, 12)), workers=draw(st.integers(1, 64)),
+        checkpoint_every=draw(st.integers(1, 2 ** 40)), out_dir=out_dir,
+        symmetrize=dim_a == dim_b and draw(st.booleans()))
+    state = rn.RunState.fresh(cfg)
+    counts = st.integers(0, 2 ** 62)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    for h in [*state.hists.values(), state.joint]:
+        h.total[...] = rng.integers(0, 2 ** 62, h.total.shape)
+        h.hits[...] = rng.integers(0, 2 ** 62, h.hits.shape)
+        h.out_total, h.out_hits = draw(counts), draw(counts)
+    state.next_index, state.n_total, state.n_ppt = draw(counts), draw(counts), draw(counts)
+    state.elapsed = draw(st.floats(0.0, 1e9))
+    return cfg, state
+
+
+@pytest.fixture(scope="module")
+def ck_dir(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("checkpoints"))
 
 
 class TestConfig:
@@ -77,7 +117,7 @@ class TestRunExperiment:
         assert rep.n_total == cfg.samples
         assert 0 <= rep.n_ppt <= rep.n_total
         for h in rep.hists.values():
-            assert h.n_accumulated() == cfg.samples
+            assert int(h.total.sum()) + h.out_total == cfg.samples
         assert rep.joint.total.sum() + rep.joint.out_total == cfg.samples
 
     def test_joint_marginals_match_axis_hists(self, tmp_path):
@@ -127,11 +167,58 @@ class TestCheckpointResume:
         cfg = small_cfg(tmp_path, samples=5_000)
         rn.run_experiment(cfg)
         ck = rn.checkpoint_path(cfg.out_dir)
-        data = json.loads(ck.read_text())
-        data["n_ppt"] += 1
-        ck.write_text(json.dumps(data))
+        data = ck.read_bytes()
+        pos = data.index(b'"n_ppt": ') + len(b'"n_ppt": ')
+        digit = b"8" if data[pos:pos + 1] == b"9" else b"9"
+        ck.write_bytes(data[:pos] + digit + data[pos + 1:])
         with pytest.raises(rn.CorruptCheckpoint):
             rn.load_checkpoint(ck)
+
+    def test_parent_format_refused(self, tmp_path):
+        cfg = small_cfg(tmp_path, samples=2_000)
+        rn.run_experiment(cfg)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        _, state = rn.load_checkpoint(ck, cfg)
+        write_parent_format(ck, cfg, state)
+        with pytest.raises(rn.CorruptCheckpoint):
+            rn.load_checkpoint(ck)
+
+    def test_one_serialisation_per_save_and_load(self, tmp_path, monkeypatch):
+        cfg = small_cfg(tmp_path, samples=2_000)
+        rn.run_experiment(cfg)
+        _, state = rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir), cfg)
+        dumped, loaded = [], []
+        dumps, loads = json.dumps, json.loads
+        monkeypatch.setattr(json, "dumps", lambda o, **kw: dumped.append(o) or dumps(o, **kw))
+        monkeypatch.setattr(json, "loads", lambda b, **kw: loaded.append(b) or loads(b, **kw))
+        rn.save_checkpoint(cfg, state)
+        rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir), cfg)
+        assert sum("histograms" in o for o in dumped) == 1
+        assert len(loaded) == 1
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint_roundtrip_property(self, ck_dir, data):
+        cfg, state = data.draw(run_states(ck_dir))
+        back_cfg, back = rn.load_checkpoint(rn.save_checkpoint(cfg, state), cfg)
+        assert back_cfg == cfg
+        assert back.to_dict() == state.to_dict()
+
+    @settings(derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_damaged_checkpoint_property(self, ck_dir, data):
+        # any single flipped byte, or any cut, fails the digest
+        cfg, state = data.draw(run_states(ck_dir))
+        path = rn.save_checkpoint(cfg, state)
+        blob = path.read_bytes()
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            flip = data.draw(st.integers(1, 255))
+            path.write_bytes(blob[:pos] + bytes([blob[pos] ^ flip]) + blob[pos + 1:])
+        else:
+            path.write_bytes(blob[:pos])
+        with pytest.raises(rn.CorruptCheckpoint):
+            rn.load_checkpoint(path)
 
     def test_failed_block_leaves_resumable_checkpoint(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
@@ -265,6 +352,31 @@ class TestCli:
 
     def test_io_error_exit_code(self, tmp_path):
         assert cli.main(["report", "--in", str(tmp_path / "missing")]) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "parent_format"])
+    def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
+        cfg = small_cfg(tmp_path, samples=2_000)
+        rn.run_experiment(cfg)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        data = ck.read_bytes()
+        if damage == "truncated":
+            ck.write_bytes(data[:-1])
+        elif damage == "flipped":
+            ck.write_bytes(data[:100] + bytes([data[100] ^ 1]) + data[101:])
+        else:
+            write_parent_format(ck, cfg, rn.load_checkpoint(ck)[1])
+        assert cli.main(["report", "--in", cfg.out_dir]) == 2
+        assert "checksum mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"dim_a": "2", "dim_b": 3}, {"dim_a": 2, "dim_b": 3, "samples": 100.5},
+        [1, 2], {"dim_a": 2, "dim_b": 3, "seed": 1.5}])
+    def test_config_type_error_exit_code(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["sample", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_induced_measure_parse(self, tmp_path, capsys):
         out = str(tmp_path / "ind")

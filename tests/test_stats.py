@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ class TestAxis:
 class TestHistogramPair:
     def test_accumulate_and_conservation(self, rng):
         h = rand_hist(rng, n=5000)
-        assert h.n_accumulated() == 5000
+        assert int(h.total.sum()) + h.out_total == 5000
 
     def test_hits_bounded_by_total(self, rng):
         h = rand_hist(rng)
@@ -60,7 +62,7 @@ class TestHistogramPair:
         left = h1.merge(h2).merge(h3)
         right = h1.merge(h2.merge(h3))
         assert np.array_equal(left.total, right.total)
-        assert left.n_accumulated() == 3 * h1.n_accumulated()
+        assert int(left.total.sum()) + left.out_total == 3 * 5000
 
     def test_axis_mismatch(self, rng):
         h = rand_hist(rng)
@@ -139,12 +141,13 @@ class TestFlatnessTest:
         assert min(ps) > 1e-6 or sorted(ps)[1] > 1e-4
 
     def test_two_bin_pearson(self):
-        # closed-form 2x2 Pearson: N(ad-bc)^2 / row/col products = 380.95
-        ax = st.Axis("x", 0, 1, 2)
+        # closed-form 2x2 Pearson: N(ad-bc)^2 / row/col products = 380.95;
+        # the third bin is the excluded boundary bin and is empty
+        ax = st.Axis("x", 0, 1, 3)
         h = st.HistogramPair(axis=ax,
-                             total=np.array([1000, 1000], dtype=np.int64),
-                             hits=np.array([500, 900], dtype=np.int64))
-        chi2, dof, p = st.flatness_test(h, min_total=100, exclude_last_bin=False)
+                             total=np.array([1000, 1000, 0], dtype=np.int64),
+                             hits=np.array([500, 900, 0], dtype=np.int64))
+        chi2, dof, p = st.flatness_test(h, min_total=100)
         want = 2000 * (500 * 100 - 500 * 900) ** 2 / (1000 * 1000 * 1400 * 600)
         assert abs(chi2 - want) < 1e-9
         assert dof == 1
@@ -240,13 +243,14 @@ class TestJointHistogram:
         j.total[3, 3] = 100
         j.hits[3, 3] = 25
         s = j.symmetrize()
-        assert s.cell_ratio(3, 3).p_hat == j.cell_ratio(3, 3).p_hat
+        assert s.hits[3, 3] / s.total[3, 3] == j.hits[3, 3] / j.total[3, 3] == 0.25
 
     def test_empty_cells(self):
         j = st.JointHistogram(axis_x=st.Axis.default("r_A"),
                               axis_y=st.Axis.default("R_B"))
+        assert not j.total.any() and not j.hits.any()
         with pytest.raises(st.EmptyCell):
-            j.cell_ratio(0, 0)
+            st.ratio_with_ci(int(j.hits[0, 0]), int(j.total[0, 0]))
 
     def test_point_mass(self):
         j = st.JointHistogram(axis_x=st.Axis.default("r_A"),
@@ -266,9 +270,27 @@ class TestJointHistogram:
 
     def test_csv(self, rng, tmp_path):
         j, *_ = self.make(rng, n=500)
+        # out-of-range samples reach the header, never a cell row
+        j.accumulate_many(np.array([-0.5, 0.5, 1.5]), np.array([0.5, 2.0, 0.5]),
+                          np.array([True, False, True]))
         path = tmp_path / "joint.csv"
         j.to_csv(path)
         lines = path.read_text().splitlines()
+        assert lines[1] == "# out_total=3 out_hits=2"
         assert lines[2] == "xbin,ybin,total,hits"
         rows = [ln.split(",") for ln in lines[3:]]
         assert sum(int(r[2]) for r in rows) == 500
+
+        # byte-for-byte against a cell-by-cell loop
+        oracle = tmp_path / "oracle.csv"
+        with open(oracle, "w", newline="") as fh:
+            fh.write(f"# axis_x={j.axis_x.label} axis_y={j.axis_y.label}"
+                     f" bins={j.axis_x.bins}x{j.axis_y.bins}\n")
+            fh.write(f"# out_total={j.out_total} out_hits={j.out_hits}\n")
+            w = csv.writer(fh)
+            w.writerow(["xbin", "ybin", "total", "hits"])
+            for i in range(j.axis_x.bins):
+                for k in range(j.axis_y.bins):
+                    if j.total[i, k] or j.hits[i, k]:
+                        w.writerow([i, k, int(j.total[i, k]), int(j.hits[i, k])])
+        assert path.read_bytes() == oracle.read_bytes()
