@@ -8,7 +8,6 @@ a checkpoint).  Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -163,7 +162,7 @@ def main(argv=None) -> int:
             InsufficientData, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, CorruptCheckpoint, json.JSONDecodeError) as exc:
+    except (OSError, CorruptCheckpoint) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
 

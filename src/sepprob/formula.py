@@ -9,7 +9,7 @@ real, complex and quaternionic two-qubit values 29/64, 8/33, 26/323.
 
 from __future__ import annotations
 
-from math import exp, lgamma, log
+from math import exp, isfinite, lgamma, log
 
 # quintic polynomial coefficients, highest degree first
 _Q_COEFFS = (185000.0, 779750.0, 1289125.0, 1042015.0, 410694.0, 63000.0)
@@ -19,7 +19,7 @@ _LN3 = log(3.0)
 
 
 class DomainError(ValueError):
-    """alpha outside the domain alpha > 0."""
+    """alpha outside the domain 0 < alpha < inf (NaN is outside too)."""
 
 
 def q_poly(alpha: float) -> float:
@@ -32,8 +32,8 @@ def q_poly(alpha: float) -> float:
 
 def f_term(alpha: float) -> float:
     """f(alpha) = P(alpha) - P(alpha+1), via log-Gamma to avoid overflow."""
-    if alpha <= 0:
-        raise DomainError(f"f_term requires alpha > 0, got {alpha}")
+    if not (isfinite(alpha) and alpha > 0):
+        raise DomainError(f"f_term requires finite alpha > 0, got {alpha}")
     ln = (-(4.0 * alpha + 6.0) * _LN2
           + lgamma(3.0 * alpha + 2.5) + lgamma(5.0 * alpha + 2.0)
           - _LN3 - lgamma(alpha + 1.0) - lgamma(2.0 * alpha + 3.0)
@@ -49,10 +49,10 @@ def p_alpha_terms(alpha: float, tol: float = 1e-16,
     tol * partial_sum.  Terms decay super-geometrically, so this happens
     after a few tens of terms.
     """
-    if alpha <= 0:
-        raise DomainError(f"p_alpha requires alpha > 0, got {alpha}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (isfinite(alpha) and alpha > 0):
+        raise DomainError(f"p_alpha requires finite alpha > 0, got {alpha}")
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     total = 0.0
     for i in range(max_terms):
         term = f_term(alpha + i)

@@ -19,12 +19,13 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .invariants import record_batch
-from .random_states import MeasureSpec, state_batch
+from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
 from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     fit_scale, flatness_test, ratio_with_ci)
 
-# samples per vectorized sub-batch inside a worker
-SUB_BATCH = 8192
+# samples per vectorized sub-batch inside a worker; sub-batches end at its
+# multiples, so only the first one of a range can start mid-chunk
+SUB_BATCH = 2 * CHUNK_SAMPLES
 
 # record_batch key for each axis label
 AXIS_KEYS = {"r_A": "r_a", "R_B": "r_b", "c2_A": "c2_a", "c2_B": "c2_b",
@@ -40,7 +41,7 @@ class ConfigHashMismatch(RuntimeError):
 
 
 class CorruptCheckpoint(RuntimeError):
-    """Checkpoint file failed its checksum."""
+    """Checkpoint file failed its checksum or has an unreadable body."""
 
 
 @dataclass
@@ -131,7 +132,8 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         ident = {"dim_a": self.dim_a, "dim_b": self.dim_b, "measure": self.measure,
                  "k": self.k, "samples": self.samples, "seed": self.seed,
-                 "bins": self.bins, "symmetrize": self.symmetrize}
+                 "bins": self.bins, "symmetrize": self.symmetrize,
+                 "stream_version": STREAM_VERSION}
         blob = json.dumps(ident, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -182,8 +184,10 @@ def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
     measure = cfg.measure_spec()
     dims = (cfg.dim_a, cfg.dim_b)
     end = start + count
-    for pos in range(start, end, SUB_BATCH):
-        rhos = state_batch(measure, cfg.seed, pos, min(SUB_BATCH, end - pos))
+    first_cut = (start // SUB_BATCH + 1) * SUB_BATCH
+    cuts = [start, *range(first_cut, end, SUB_BATCH), end]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rhos = state_batch(measure, cfg.seed, lo, hi - lo)
         rec = record_batch(rhos, dims)
         ppt = rec["ppt"]
         part.n_ppt += int(ppt.sum())
@@ -222,6 +226,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {"config": self.config.to_dict(),
                 "config_hash": self.config.config_hash(),
+                "stream_version": STREAM_VERSION,
                 "n_total": self.n_total, "n_ppt": self.n_ppt,
                 "overall": self.overall, "flatness": self.flatness,
                 "fits": self.fits, "wall_time": self.wall_time,
@@ -298,14 +303,24 @@ def load_checkpoint(path, cfg: ExperimentConfig | None = None
         raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
     if digest != hashlib.sha256(body).hexdigest().encode():
         raise CorruptCheckpoint(f"checksum mismatch in {path}")
-    payload = json.loads(body)
-    ck_cfg = ExperimentConfig.from_dict(payload["config"])
-    if payload["config_hash"] != ck_cfg.config_hash():
-        raise CorruptCheckpoint(f"config hash mismatch in {path}")
-    if cfg is not None and cfg.config_hash() != payload["config_hash"]:
+    try:
+        payload = json.loads(body)
+        ck_cfg = ExperimentConfig.from_dict(payload["config"])
+        ck_hash = payload["config_hash"]
+        state = RunState.from_dict(payload)
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise CorruptCheckpoint(f"unreadable checkpoint body in {path}: "
+                                f"{type(exc).__name__}: {exc}") from exc
+    # the digest holds, so a hash that disagrees with the file's own config
+    # was computed under another STREAM_VERSION: those draws differ
+    if ck_hash != ck_cfg.config_hash():
+        raise ConfigHashMismatch(
+            f"checkpoint {path} was written under another sampling stream "
+            f"(this is stream version {STREAM_VERSION})")
+    if cfg is not None and cfg.config_hash() != ck_hash:
         raise ConfigHashMismatch(
             "checkpoint was written by a different configuration")
-    return ck_cfg, RunState.from_dict(payload)
+    return ck_cfg, state
 
 
 def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,

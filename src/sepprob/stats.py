@@ -132,20 +132,26 @@ class HistogramPair:
     def from_csv(cls, path, label: str | None = None) -> "HistogramPair":
         with open(path) as fh:
             lines = fh.read().splitlines()
-        meta = {}
-        for ln in lines:
-            if ln.startswith("#"):
-                meta.update(kv.split("=") for kv in ln[1:].split())
-        rows = [r for r in csv.reader(ln for ln in lines if not ln.startswith("#"))]
-        body = rows[1:]
-        lo = float(body[0][0])
-        hi = float(body[-1][1])
-        axis = Axis(label=label or meta.get("axis", "?"), lo=lo, hi=hi, bins=len(body))
-        return cls(axis=axis,
-                   total=np.array([int(r[2]) for r in body], dtype=np.int64),
-                   hits=np.array([int(r[3]) for r in body], dtype=np.int64),
-                   out_total=int(meta.get("out_total", 0)),
-                   out_hits=int(meta.get("out_hits", 0)))
+        try:
+            meta = {}
+            for ln in lines:
+                if ln.startswith("#"):
+                    meta.update(kv.split("=") for kv in ln[1:].split())
+            rows = [r for r in csv.reader(ln for ln in lines if not ln.startswith("#"))]
+            body = rows[1:]
+            if not body:
+                raise ValueError("no data rows")
+            lo = float(body[0][0])
+            hi = float(body[-1][1])
+            axis = Axis(label=label or meta.get("axis", "?"), lo=lo, hi=hi,
+                        bins=len(body))
+            return cls(axis=axis,
+                       total=np.array([int(r[2]) for r in body], dtype=np.int64),
+                       hits=np.array([int(r[3]) for r in body], dtype=np.int64),
+                       out_total=int(meta.get("out_total", 0)),
+                       out_hits=int(meta.get("out_hits", 0)))
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"malformed axis CSV {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return {"axis": {"label": self.axis.label, "lo": self.axis.lo,

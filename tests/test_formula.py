@@ -76,3 +76,13 @@ class TestPAlpha:
             formula.p_alpha(-1.0)
         with pytest.raises(ValueError):
             formula.p_alpha(1.0, tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN slips past alpha <= 0 and inf makes every term NaN
+        with pytest.raises(formula.DomainError):
+            formula.p_alpha(bad)
+        with pytest.raises(formula.DomainError):
+            formula.f_term(bad)
+        with pytest.raises(ValueError, match="tol"):
+            formula.p_alpha(1.0, tol=bad)

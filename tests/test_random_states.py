@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from sepprob import random_states as rs
 from sepprob.stats import chi2_sf
@@ -44,6 +45,35 @@ class TestDeterminism:
         a = rs.state_batch(rs.hilbert_schmidt(4), 1, 0, 1)
         b = rs.state_batch(rs.hilbert_schmidt(4), 2, 0, 1)
         assert not np.allclose(a, b)
+
+
+def ginibre_oracle(n, k, seed, start, count):
+    """Each sample rebuilt on its own from the documented stream format."""
+    nk = n * k
+    out = []
+    for i in range(start, start + count):
+        chunk, off = divmod(i, rs.CHUNK_SAMPLES)
+        key = np.array([seed, chunk], dtype=np.uint64)
+        z = Generator(Philox(key=key)).standard_normal((off + 1) * 2 * nk)[off * 2 * nk:]
+        out.append((z[:nk] + 1j * z[nk:]).reshape(n, k))
+    return np.array(out)
+
+
+class TestStreamFormat:
+    @pytest.mark.parametrize("n,k,seed,start,count", [
+        (2, 3, 99, 1000, 5),                           # mid-chunk start
+        (2, 3, 99, rs.CHUNK_SAMPLES - 3, 6),           # across a chunk boundary
+        (3, 5, 7, 2 * rs.CHUNK_SAMPLES + 17, 4),       # induced, odd nk
+        (4, 4, 2 ** 64 - 1, rs.CHUNK_SAMPLES - 1, 2),  # seed >= 2**63
+    ])
+    def test_matches_oracle(self, n, k, seed, start, count):
+        want = ginibre_oracle(n, k, seed, start, count)
+        assert np.array_equal(rs.ginibre_batch(n, k, seed, start, count), want)
+        M = want @ want.conj().transpose(0, 2, 1)
+        M /= np.trace(M, axis1=1, axis2=2).real[:, None, None]
+        rhos = rs.state_batch(rs.MeasureSpec(n, k, "hs" if n == k else "induced"),
+                              seed, start, count)
+        assert np.abs(rhos - M).max() < 1e-15
 
 
 class TestGinibreDistribution:

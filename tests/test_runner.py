@@ -30,6 +30,11 @@ def write_parent_format(path, cfg, state):
     path.write_text(json.dumps(payload))
 
 
+def write_with_digest(path, body: bytes):
+    """A checkpoint whose digest line matches the given body."""
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+
+
 @st.composite
 def run_states(draw, out_dir):
     """A valid config writing to out_dir and a state with arbitrary counts."""
@@ -57,6 +62,13 @@ def run_states(draw, out_dir):
 @pytest.fixture(scope="module")
 def ck_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("checkpoints"))
+
+
+@pytest.fixture(scope="module")
+def whole_range(tmp_path_factory):
+    cfg = small_cfg(tmp_path_factory.mktemp("range"), dim_b=2, samples=10 ** 6)
+    start, count = 5_000, 3 * rn.SUB_BATCH + 123
+    return cfg, start, count, rn._range_stats(cfg, start, count)
 
 
 class TestConfig:
@@ -134,6 +146,30 @@ class TestRunExperiment:
         assert hist_state_dict(reps[0]) == hist_state_dict(reps[1])
         assert reps[0].joint.to_dict() == reps[1].joint.to_dict()
 
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(cuts=st.lists(st.integers(5_001, 5_000 + 3 * rn.SUB_BATCH + 122),
+                         max_size=4, unique=True))
+    def test_range_stats_split_equals_whole(self, whole_range, cuts):
+        # an unaligned range whose sub-batches start mid-chunk, cut anywhere
+        cfg, start, count, whole = whole_range
+        bounds = [start, *sorted(cuts), start + count]
+        merged = rn.RunState.fresh(cfg)
+        for lo, hi in zip(bounds, bounds[1:]):
+            merged.merge(rn._range_stats(cfg, lo, hi - lo))
+        assert merged.to_dict() == whole.to_dict()
+        for h in merged.hists.values():
+            assert int(h.total.sum()) + h.out_total == count
+
+    def test_checkpoint_every_independence(self, tmp_path):
+        # blocks that end on, before and after chunk boundaries
+        reps = [rn.run_experiment(small_cfg(tmp_path / str(every), samples=10_000,
+                                            checkpoint_every=every))
+                for every in (10 ** 7, rn.SUB_BATCH, 3_001)]
+        for rep in reps[1:]:
+            assert rep.n_ppt == reps[0].n_ppt
+            assert hist_state_dict(rep) == hist_state_dict(reps[0])
+            assert rep.joint.to_dict() == reps[0].joint.to_dict()
+
     def test_two_qubit_probability_sane(self, tmp_path):
         rep = rn.run_experiment(small_cfg(tmp_path, dim_b=2, samples=50_000))
         p = rep.overall["wilson_0.95"]["p_hat"]
@@ -162,6 +198,22 @@ class TestCheckpointResume:
         with pytest.raises(rn.ConfigHashMismatch):
             rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir),
                                small_cfg(tmp_path, samples=5_000, seed=99))
+
+    def test_other_stream_version_refused(self, tmp_path, monkeypatch, capsys):
+        cfg = small_cfg(tmp_path, samples=4_000, checkpoint_every=2_000)
+        with monkeypatch.context() as m:
+            m.setattr(rn, "STREAM_VERSION", rn.STREAM_VERSION - 1)
+            old_hash = cfg.config_hash()
+            rn.run_experiment(cfg, stop_after=2_000)
+        assert cfg.config_hash() != old_hash
+        ck = rn.checkpoint_path(cfg.out_dir)
+        with pytest.raises(rn.ConfigHashMismatch, match="another sampling stream"):
+            rn.load_checkpoint(ck, cfg)
+        with pytest.raises(rn.ConfigHashMismatch):
+            rn.load_checkpoint(ck)
+        assert cli.main(["sample", "--shape", "2x3", "--samples", "4000", "--seed", "7",
+                         "--out", cfg.out_dir, "--resume"]) == 1
+        assert "another sampling stream" in capsys.readouterr().err
 
     def test_corrupt_checkpoint(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
@@ -266,6 +318,7 @@ class TestExport:
         report = json.loads((out / "report.json").read_text())
         assert report["n_total"] == cfg.samples
         assert report["config_hash"] == cfg.config_hash()
+        assert report["stream_version"] == rn.STREAM_VERSION
 
     def test_manifest_checksums(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=2_000)
@@ -302,6 +355,24 @@ class TestCli:
     def test_formula_bad_alpha(self, capsys):
         assert cli.main(["formula", "--alpha", "-2"]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "nan"], ["--alpha", "inf"],
+        ["--alpha", "1", "--tol", "nan"], ["--alpha", "1", "--tol", "inf"]],
+        ids=["alpha_nan", "alpha_inf", "tol_nan", "tol_inf"])
+    def test_formula_non_finite_exit_code(self, capsys, args):
+        assert cli.main(["formula", *args]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("text", [
+        "", "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n",
+        "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n0,0.5\n"],
+        ids=["empty", "header_only", "short_row"])
+    def test_analyze_malformed_csv_exit_code(self, tmp_path, capsys, text):
+        (tmp_path / "r_A.csv").write_text(text)
+        assert cli.main(["analyze", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed axis CSV") and "r_A.csv" in err
+
     def test_sample_analyze_report_cycle(self, tmp_path, capsys):
         out = str(tmp_path / "cli_run")
         rc = cli.main(["sample", "--shape", "2x3", "--measure", "hs",
@@ -317,7 +388,11 @@ class TestCli:
 
         rc = cli.main(["report", "--in", out, "--out", str(tmp_path / "re")])
         assert rc == 0
-        assert (tmp_path / "re" / "report.json").exists()
+        names = sorted(p.name for p in (tmp_path / "re").iterdir())
+        assert "report.json" in names
+        for name in names:
+            assert (tmp_path / "re" / name).read_bytes() == \
+                (tmp_path / "cli_run" / name).read_bytes(), name
 
     def test_sample_resume_cli(self, tmp_path, capsys):
         out = str(tmp_path / "resume_run")
@@ -353,20 +428,38 @@ class TestCli:
     def test_io_error_exit_code(self, tmp_path):
         assert cli.main(["report", "--in", str(tmp_path / "missing")]) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "flipped", "parent_format"])
+    @pytest.mark.parametrize("damage", ["truncated", "flipped", "parent_format",
+                                        "empty_object", "non_object", "not_json",
+                                        "no_joint"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
         ck = rn.checkpoint_path(cfg.out_dir)
         data = ck.read_bytes()
+        body = data.partition(b"\n")[2]
+        bodies = {"empty_object": b"{}", "non_object": b"[1, 2]",
+                  "not_json": body[:-1],
+                  "no_joint": body.replace(b'"joint"', b'"jointX"')}
         if damage == "truncated":
             ck.write_bytes(data[:-1])
         elif damage == "flipped":
             ck.write_bytes(data[:100] + bytes([data[100] ^ 1]) + data[101:])
-        else:
+        elif damage == "parent_format":
             write_parent_format(ck, cfg, rn.load_checkpoint(ck)[1])
+        else:
+            write_with_digest(ck, bodies[damage])
         assert cli.main(["report", "--in", cfg.out_dir]) == 2
-        assert "checksum mismatch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("unreadable checkpoint body" if damage in bodies
+                else "checksum mismatch") in err
+
+    def test_truncated_config_exit_code(self, tmp_path, capsys):
+        # malformed JSON in a config is a validation error, not an I/O one
+        path = tmp_path / "cfg.json"
+        path.write_text('{"dim_a": 2, "dim_b": ')
+        assert cli.main(["sample", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("config", [
         {"dim_a": "2", "dim_b": 3}, {"dim_a": 2, "dim_b": 3, "samples": 100.5},
