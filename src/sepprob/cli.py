@@ -98,7 +98,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_formula(args) -> int:
     value, terms = formula.p_alpha_terms(args.alpha, args.tol)
-    print(f"P({args.alpha:g}) = {value:.15g}  ({terms} terms)")
+    note = "  (underflows the double range)" if value == 0.0 else ""
+    print(f"P({args.alpha:g}) = {value:.15g}  ({terms} terms){note}")
     return 0
 
 

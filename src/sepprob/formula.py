@@ -47,7 +47,9 @@ def p_alpha_terms(alpha: float, tol: float = 1e-16,
 
     Truncation is relative: summing stops at the first term below
     tol * partial_sum.  Terms decay super-geometrically, so this happens
-    after a few tens of terms.
+    after a few tens of terms.  Above alpha of about 805.7 the first term
+    underflows to 0.0, every later one is smaller, and the result is
+    (0.0, 1).
     """
     if not (isfinite(alpha) and alpha > 0):
         raise DomainError(f"p_alpha requires finite alpha > 0, got {alpha}")
@@ -57,7 +59,7 @@ def p_alpha_terms(alpha: float, tol: float = 1e-16,
     for i in range(max_terms):
         term = f_term(alpha + i)
         total += term
-        if total > 0 and term < tol * total:
+        if total == 0.0 or term < tol * total:
             return total, i + 1
     raise RuntimeError(f"series did not converge within {max_terms} terms")
 

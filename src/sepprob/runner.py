@@ -32,6 +32,10 @@ AXIS_KEYS = {"r_A": "r_a", "R_B": "r_b", "c2_A": "c2_a", "c2_B": "c2_b",
              "c3_A": "c3_a", "c3_B": "c3_b", "C002": "c002"}
 
 
+# the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
+MAX_BINS = 2048
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -85,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        if self.bins < 1:
-            raise ConfigError("bins must be >= 1")
+        if not 1 <= self.bins <= MAX_BINS:
+            raise ConfigError(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
         if self.symmetrize and self.dim_a != self.dim_b:
             raise ConfigError("symmetrize requires dim_a == dim_b")
 
@@ -170,12 +174,19 @@ class RunState:
                 "joint": self.joint.to_dict()}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunState":
+    def from_dict(cls, d: dict, cfg: ExperimentConfig) -> "RunState":
+        """The state to_dict wrote; ValueError unless its histogram axes are
+        cfg's, checked before any count array is allocated."""
+        axes = {lb: asdict(ax) for lb, ax in cfg.axes().items()}
+        joint = d["joint"]
+        if ([(lb, h["axis"]) for lb, h in d["histograms"].items()] != list(axes.items())
+                or [joint["axis_x"], joint["axis_y"]] != [axes["r_A"], axes["R_B"]]):
+            raise ValueError("histogram axes differ from those of its config")
         return cls(next_index=d["next_index"], n_total=d["n_total"],
                    n_ppt=d["n_ppt"], elapsed=d["elapsed"],
                    hists={lb: HistogramPair.from_dict(h)
                           for lb, h in d["histograms"].items()},
-                   joint=JointHistogram.from_dict(d["joint"]))
+                   joint=JointHistogram.from_dict(joint))
 
 
 def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
@@ -307,7 +318,7 @@ def load_checkpoint(path, cfg: ExperimentConfig | None = None
         payload = json.loads(body)
         ck_cfg = ExperimentConfig.from_dict(payload["config"])
         ck_hash = payload["config_hash"]
-        state = RunState.from_dict(payload)
+        state = RunState.from_dict(payload, ck_cfg)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint body in {path}: "
                                 f"{type(exc).__name__}: {exc}") from exc

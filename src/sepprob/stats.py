@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import prod
 from statistics import NormalDist
 
 import numpy as np
@@ -76,6 +77,42 @@ class Axis:
         idx = np.floor((values - self.lo) / self.width).astype(np.int64)
         np.clip(idx, 0, self.bins - 1, out=idx)
         return idx, ok
+
+
+def encode_counts(total: np.ndarray, hits: np.ndarray) -> dict:
+    """Sparse form of a (total, hits) pair of count arrays: the flat index of
+    every cell where either is non-zero, in increasing order, with its counts."""
+    total, hits = total.ravel(), hits.ravel()
+    index = np.flatnonzero(total | hits)
+    return {"index": index.tolist(), "total": total[index].tolist(),
+            "hits": hits[index].tolist()}
+
+
+def _int_list(values, name: str) -> np.ndarray:
+    arr = np.array(values)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind != "i"):
+        raise ValueError(f"counts {name!r} must be a list of integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def decode_counts(d: dict, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (total, hits) arrays of the given shape from encode_counts' form.
+
+    Raises ValueError unless the three lists have equal length and the
+    indices increase strictly within [0, cells).
+    """
+    index, total, hits = (_int_list(d.get(k), k) for k in ("index", "total", "hits"))
+    if not len(index) == len(total) == len(hits):
+        raise ValueError("counts 'index', 'total' and 'hits' differ in length")
+    cells = prod(shape)
+    if len(index) and (index[0] < 0 or index[-1] >= cells
+                       or np.any(index[1:] <= index[:-1])):
+        raise ValueError(f"count indices must increase strictly within [0, {cells})")
+    dense_total = np.zeros(cells, dtype=np.int64)
+    dense_hits = np.zeros(cells, dtype=np.int64)
+    dense_total[index] = total
+    dense_hits[index] = hits
+    return dense_total.reshape(shape), dense_hits.reshape(shape)
 
 
 @dataclass
@@ -156,14 +193,14 @@ class HistogramPair:
     def to_dict(self) -> dict:
         return {"axis": {"label": self.axis.label, "lo": self.axis.lo,
                          "hi": self.axis.hi, "bins": self.axis.bins},
-                "total": self.total.tolist(), "hits": self.hits.tolist(),
+                **encode_counts(self.total, self.hits),
                 "out_total": self.out_total, "out_hits": self.out_hits}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HistogramPair":
-        return cls(axis=Axis(**d["axis"]),
-                   total=np.array(d["total"], dtype=np.int64),
-                   hits=np.array(d["hits"], dtype=np.int64),
+        axis = Axis(**d["axis"])
+        total, hits = decode_counts(d, (axis.bins,))
+        return cls(axis=axis, total=total, hits=hits,
                    out_total=d["out_total"], out_hits=d["out_hits"])
 
 
@@ -245,18 +282,15 @@ class JointHistogram:
                            "hi": self.axis_x.hi, "bins": self.axis_x.bins},
                 "axis_y": {"label": self.axis_y.label, "lo": self.axis_y.lo,
                            "hi": self.axis_y.hi, "bins": self.axis_y.bins},
-                "total": self.total.ravel().tolist(),
-                "hits": self.hits.ravel().tolist(),
+                **encode_counts(self.total, self.hits),
                 "out_total": self.out_total, "out_hits": self.out_hits}
 
     @classmethod
     def from_dict(cls, d: dict) -> "JointHistogram":
         ax = Axis(**d["axis_x"])
         ay = Axis(**d["axis_y"])
-        shape = (ax.bins, ay.bins)
-        return cls(axis_x=ax, axis_y=ay,
-                   total=np.array(d["total"], dtype=np.int64).reshape(shape),
-                   hits=np.array(d["hits"], dtype=np.int64).reshape(shape),
+        total, hits = decode_counts(d, (ax.bins, ay.bins))
+        return cls(axis_x=ax, axis_y=ay, total=total, hits=hits,
                    out_total=d["out_total"], out_hits=d["out_hits"])
 
 

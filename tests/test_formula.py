@@ -77,6 +77,16 @@ class TestPAlpha:
         with pytest.raises(ValueError):
             formula.p_alpha(1.0, tol=0.0)
 
+    @pytest.mark.parametrize("alpha", [805.715, 1000.0])
+    def test_underflow_gives_zero(self, alpha):
+        # the first term is 0.0 in double precision, and every later one smaller
+        assert formula.f_term(alpha) == 0.0
+        assert formula.p_alpha_terms(alpha) == (0.0, 1)
+
+    def test_smallest_representable_value(self):
+        # the last alpha before the underflow keeps its value
+        assert formula.p_alpha_terms(805.714) == (3.119834412917481e-304, 2)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):
         # NaN slips past alpha <= 0 and inf makes every term NaN

@@ -114,6 +114,11 @@ class TestConfig:
         with pytest.raises(rn.ConfigError):
             rn.ExperimentConfig.from_dict({"dim_a": 2, "dim_b": 2, "bogus": 1})
 
+    def test_bins_cap(self, tmp_path):
+        small_cfg(tmp_path, bins=rn.MAX_BINS)
+        with pytest.raises(rn.ConfigError, match="bins must be in"):
+            small_cfg(tmp_path, bins=rn.MAX_BINS + 1)
+
     def test_hash_sensitivity(self, tmp_path):
         a = small_cfg(tmp_path)
         b = small_cfg(tmp_path, seed=8)
@@ -248,6 +253,36 @@ class TestCheckpointResume:
         assert sum("histograms" in o for o in dumped) == 1
         assert len(loaded) == 1
 
+    def test_checkpoint_size_follows_occupied_cells(self, tmp_path):
+        # the dense form of this run's 500 x 500 joint took 1.52 MB
+        cfg = small_cfg(tmp_path, dim_b=2, samples=2_000, bins=500)
+        rn.run_experiment(cfg)
+        assert rn.checkpoint_path(cfg.out_dir).stat().st_size < 150_000
+
+    @pytest.mark.parametrize("damage", ["extra_axis", "missing_axis", "joint_bins",
+                                        "huge_joint_bins"])
+    def test_axes_must_match_config(self, tmp_path, capsys, damage):
+        cfg = small_cfg(tmp_path, dim_b=2, samples=4_000, checkpoint_every=2_000)
+        rn.run_experiment(cfg, stop_after=2_000)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        payload = json.loads(ck.read_bytes().partition(b"\n")[2])
+        hists = payload["histograms"]
+        if damage == "extra_axis":
+            hists["extra"] = {**hists["r_A"], "axis": {**hists["r_A"]["axis"],
+                                                       "label": "extra"}}
+        elif damage == "missing_axis":
+            del hists["C002"]
+        else:
+            # refused before its counts are decoded: 10**11 cells would not fit
+            payload["joint"]["axis_x"]["bins"] = 101 if damage == "joint_bins" else 10 ** 9
+        write_with_digest(ck, json.dumps(payload).encode())
+        with pytest.raises(rn.CorruptCheckpoint, match="histogram axes"):
+            rn.load_checkpoint(ck, cfg)
+        assert cli.main(["sample", "--shape", "2x2", "--samples", "4000", "--seed", "7",
+                         "--checkpoint-every", "2000", "--out", cfg.out_dir,
+                         "--resume"]) == 2
+        assert "histogram axes" in capsys.readouterr().err
+
     @settings(derandomize=True, deadline=None)
     @given(data=st.data())
     def test_checkpoint_roundtrip_property(self, ck_dir, data):
@@ -352,6 +387,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "0.24242424242424" in out
 
+    def test_formula_underflow(self, capsys):
+        assert cli.main(["formula", "--alpha", "1000"]) == 0
+        assert "P(1000) = 0  (1 terms)  (underflows the double range)" in \
+            capsys.readouterr().out
+
     def test_formula_bad_alpha(self, capsys):
         assert cli.main(["formula", "--alpha", "-2"]) == 1
 
@@ -430,22 +470,41 @@ class TestCli:
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped", "parent_format",
                                         "empty_object", "non_object", "not_json",
-                                        "no_joint"])
+                                        "no_joint", "dense_joint", "unequal_lengths",
+                                        "index_past_cells", "repeated_index",
+                                        "decreasing_index"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
         ck = rn.checkpoint_path(cfg.out_dir)
         data = ck.read_bytes()
         body = data.partition(b"\n")[2]
+        state = rn.load_checkpoint(ck)[1]
+        payload = json.loads(body)
+        joint = payload["joint"]
+        index = joint["index"]
+
+        def with_joint(**changes):
+            changed = {k: v for k, v in {**joint, **changes}.items() if v is not None}
+            return json.dumps({**payload, "joint": changed}).encode()
+
         bodies = {"empty_object": b"{}", "non_object": b"[1, 2]",
                   "not_json": body[:-1],
-                  "no_joint": body.replace(b'"joint"', b'"jointX"')}
+                  "no_joint": body.replace(b'"joint"', b'"jointX"'),
+                  # the joint as the earlier dense format wrote it
+                  "dense_joint": with_joint(index=None,
+                                            total=state.joint.total.ravel().tolist(),
+                                            hits=state.joint.hits.ravel().tolist()),
+                  "unequal_lengths": with_joint(hits=joint["hits"][:-1]),
+                  "index_past_cells": with_joint(index=index[:-1] + [cfg.bins ** 2]),
+                  "repeated_index": with_joint(index=[index[0], *index[:-1]]),
+                  "decreasing_index": with_joint(index=[index[1], index[0], *index[2:]])}
         if damage == "truncated":
             ck.write_bytes(data[:-1])
         elif damage == "flipped":
             ck.write_bytes(data[:100] + bytes([data[100] ^ 1]) + data[101:])
         elif damage == "parent_format":
-            write_parent_format(ck, cfg, rn.load_checkpoint(ck)[1])
+            write_parent_format(ck, cfg, state)
         else:
             write_with_digest(ck, bodies[damage])
         assert cli.main(["report", "--in", cfg.out_dir]) == 2

@@ -294,3 +294,31 @@ class TestJointHistogram:
                     if j.total[i, k] or j.hits[i, k]:
                         w.writerow([i, k, int(j.total[i, k]), int(j.hits[i, k])])
         assert path.read_bytes() == oracle.read_bytes()
+
+
+class TestCountCodec:
+    def test_roundtrip_keeps_only_occupied_cells(self):
+        total = np.array([[0, 3, 0], [0, 0, 0], [1, 0, 5]], dtype=np.int64)
+        hits = np.array([[0, 1, 2], [0, 0, 0], [0, 0, 5]], dtype=np.int64)
+        enc = st.encode_counts(total, hits)
+        assert enc == {"index": [1, 2, 6, 8], "total": [3, 0, 1, 5], "hits": [1, 2, 0, 5]}
+        back_total, back_hits = st.decode_counts(enc, (3, 3))
+        assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
+        empty = st.encode_counts(np.zeros(4, np.int64), np.zeros(4, np.int64))
+        assert not st.decode_counts(empty, (4,))[0].any()
+
+    @pytest.mark.parametrize("counts", [
+        {"index": [0, 1], "total": [1.5, 2], "hits": [0, 0]},
+        {"index": [0, 1], "total": [True, False], "hits": [0, 0]},
+        {"index": [[0], [1]], "total": [1, 2], "hits": [0, 0]},
+        {"index": [0, 1], "total": [1, 2], "hits": [0]},
+        {"index": [-1, 1], "total": [1, 2], "hits": [0, 0]},
+        {"index": [0, 4], "total": [1, 2], "hits": [0, 0]},
+        {"index": [1, 1], "total": [1, 2], "hits": [0, 0]},
+        {"index": "01", "total": [1, 2], "hits": [0, 0]},
+        {"total": [0, 0, 0, 1], "hits": [0, 0, 0, 1]}],
+        ids=["float", "bool", "nested", "lengths", "negative", "past_end",
+             "repeated", "not_a_list", "dense"])
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ValueError):
+            st.decode_counts(counts, (2, 2))
