@@ -13,15 +13,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from math import isfinite
 from pathlib import Path
+
+import numpy as np
 
 from .invariants import record_batch
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
 from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
-                    fit_scale, flatness_test, ratio_with_ci)
+                    fit_scale, flatness_test, ratio_with_ci, read_count)
 
 # samples per vectorized sub-batch inside a worker; sub-batches end at its
 # multiples, so only the first one of a range can start mid-chunk
@@ -182,8 +186,15 @@ class RunState:
         if ([(lb, h["axis"]) for lb, h in d["histograms"].items()] != list(axes.items())
                 or [joint["axis_x"], joint["axis_y"]] != [axes["r_A"], axes["R_B"]]):
             raise ValueError("histogram axes differ from those of its config")
-        return cls(next_index=d["next_index"], n_total=d["n_total"],
-                   n_ppt=d["n_ppt"], elapsed=d["elapsed"],
+        next_index, n_total, n_ppt = (read_count(d, k)
+                                      for k in ("next_index", "n_total", "n_ppt"))
+        if not n_ppt <= n_total == next_index <= cfg.samples:
+            raise ValueError(f"need n_ppt <= n_total == next_index <= samples, got "
+                             f"{n_ppt}, {n_total}, {next_index}, {cfg.samples}")
+        elapsed = d["elapsed"]
+        if type(elapsed) not in (int, float) or not (isfinite(elapsed) and elapsed >= 0):
+            raise ValueError(f"elapsed must be a finite number >= 0, got {elapsed!r}")
+        return cls(next_index=next_index, n_total=n_total, n_ppt=n_ppt, elapsed=elapsed,
                    hists={lb: HistogramPair.from_dict(h)
                           for lb, h in d["histograms"].items()},
                    joint=JointHistogram.from_dict(joint))
@@ -237,11 +248,21 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {"config": self.config.to_dict(),
                 "config_hash": self.config.config_hash(),
-                "stream_version": STREAM_VERSION,
+                "stream_version": STREAM_VERSION, "software": software_stack(),
                 "n_total": self.n_total, "n_ppt": self.n_ppt,
                 "overall": self.overall, "flatness": self.flatness,
                 "fits": self.fits, "wall_time": self.wall_time,
                 "samples_per_sec": self.samples_per_sec}
+
+
+def software_stack() -> dict:
+    """The interpreter, numpy and BLAS versions a report was produced with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError):
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
 
 
 def _report_fits(cfg: ExperimentConfig, hists: dict) -> dict:

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from math import prod
+from math import erfc, exp, isfinite, lgamma, log, prod, sqrt
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import gammaincc
 
 
 class AxisMismatch(ValueError):
@@ -95,11 +94,27 @@ def _int_list(values, name: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def read_count(d: dict, name: str) -> int:
+    """d[name] if it is an int >= 0 and not a bool; ValueError otherwise."""
+    value = d[name]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{name!r} must be an integer >= 0, got {value!r}")
+    return value
+
+
+def read_out_counts(d: dict) -> tuple[int, int]:
+    """(out_total, out_hits) of a histogram's dict form, checked like its cells."""
+    out_total, out_hits = read_count(d, "out_total"), read_count(d, "out_hits")
+    if out_hits > out_total:
+        raise ValueError(f"out_hits {out_hits} exceeds out_total {out_total}")
+    return out_total, out_hits
+
+
 def decode_counts(d: dict, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Dense (total, hits) arrays of the given shape from encode_counts' form.
 
-    Raises ValueError unless the three lists have equal length and the
-    indices increase strictly within [0, cells).
+    Raises ValueError unless the three lists have equal length, the
+    indices increase strictly within [0, cells) and 0 <= hits <= total.
     """
     index, total, hits = (_int_list(d.get(k), k) for k in ("index", "total", "hits"))
     if not len(index) == len(total) == len(hits):
@@ -108,6 +123,8 @@ def decode_counts(d: dict, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     if len(index) and (index[0] < 0 or index[-1] >= cells
                        or np.any(index[1:] <= index[:-1])):
         raise ValueError(f"count indices must increase strictly within [0, {cells})")
+    if np.any(hits < 0) or np.any(hits > total):
+        raise ValueError("counts must satisfy 0 <= hits <= total in every cell")
     dense_total = np.zeros(cells, dtype=np.int64)
     dense_hits = np.zeros(cells, dtype=np.int64)
     dense_total[index] = total
@@ -200,8 +217,9 @@ class HistogramPair:
     def from_dict(cls, d: dict) -> "HistogramPair":
         axis = Axis(**d["axis"])
         total, hits = decode_counts(d, (axis.bins,))
+        out_total, out_hits = read_out_counts(d)
         return cls(axis=axis, total=total, hits=hits,
-                   out_total=d["out_total"], out_hits=d["out_hits"])
+                   out_total=out_total, out_hits=out_hits)
 
 
 @dataclass
@@ -290,8 +308,9 @@ class JointHistogram:
         ax = Axis(**d["axis_x"])
         ay = Axis(**d["axis_y"])
         total, hits = decode_counts(d, (ax.bins, ay.bins))
+        out_total, out_hits = read_out_counts(d)
         return cls(axis_x=ax, axis_y=ay, total=total, hits=hits,
-                   out_total=d["out_total"], out_hits=d["out_hits"])
+                   out_total=out_total, out_hits=out_hits)
 
 
 @dataclass(frozen=True)
@@ -334,10 +353,44 @@ def ratio_with_ci(hits: int, total: int, level: float = 0.95,
 
 
 def chi2_sf(x: float, dof: int) -> float:
-    """Upper-tail probability of the chi-square distribution."""
-    if dof < 1:
-        raise ValueError("dof must be >= 1")
-    return float(gammaincc(dof / 2.0, x / 2.0))
+    """Upper-tail probability of the chi-square distribution, the regularized
+    upper incomplete gamma function Q(a, h) at a = dof/2, h = x/2.
+
+    For integer dof, Q is a finite sum of positive terms:
+        even dof: Q = sum_{k < a} e^-h h^k / k!
+        odd dof:  Q = erfc(sqrt h) + sum_{k < a - 1/2} e^-h h^(k+1/2) / Gamma(k + 3/2)
+    Neighbouring terms differ by the factor h / (k + off), off = 0 or 1/2, so
+    the sum starts at its largest term (one exp and one lgamma, which keeps
+    the tails from underflowing early) and walks outwards until the terms
+    stop counting.  No term cancels another.
+    """
+    if not (isinstance(dof, int) and dof >= 1):
+        raise ValueError(f"dof must be an integer >= 1, got {dof!r}")
+    if not (isfinite(x) and x >= 0.0):
+        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    if x == 0.0:
+        return 1.0
+    h = x / 2.0
+    off = 0.5 * (dof % 2)
+    terms = dof // 2
+    q = erfc(sqrt(h)) if off else 0.0
+    if not terms:
+        return q
+    peak = min(terms - 1, max(0, int(h - off)))
+    t_peak = exp((peak + off) * log(h) - h - lgamma(peak + off + 1.0))
+    acc = t = t_peak
+    for k in range(peak, 0, -1):
+        t *= (k + off) / h
+        acc += t
+        if t <= acc * 1e-17:
+            break
+    t = t_peak
+    for k in range(peak + 1, terms):
+        t *= h / (k + off)
+        acc += t
+        if t <= acc * 1e-17:
+            break
+    return min(q + acc, 1.0)
 
 
 def flatness_test(h: HistogramPair, min_total: int = 1000) -> tuple[float, int, float]:
@@ -345,8 +398,11 @@ def flatness_test(h: HistogramPair, min_total: int = 1000) -> tuple[float, int, 
 
     Restricted to bins with total >= min_total; the top boundary bin is
     excluded (the invariance claim is for the half-open interval below the
-    pure-state boundary).  Returns (chi2, dof, p_value).
+    pure-state boundary).  Returns (chi2, dof, p_value).  min_total below 1
+    would let empty bins into the sum and is refused with ValueError.
     """
+    if min_total < 1:
+        raise ValueError(f"min_total must be >= 1, got {min_total}")
     total = h.total.astype(float)
     hits = h.hits.astype(float)
     mask = h.total >= min_total

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -37,7 +38,8 @@ def write_with_digest(path, body: bytes):
 
 @st.composite
 def run_states(draw, out_dir):
-    """A valid config writing to out_dir and a state with arbitrary counts."""
+    """A valid config writing to out_dir and a state with arbitrary counts
+    that obey 0 <= hits <= total and n_ppt <= n_total == next_index <= samples."""
     dim_a, dim_b = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]))
     induced = draw(st.booleans())
     cfg = rn.ExperimentConfig(
@@ -48,13 +50,14 @@ def run_states(draw, out_dir):
         checkpoint_every=draw(st.integers(1, 2 ** 40)), out_dir=out_dir,
         symmetrize=dim_a == dim_b and draw(st.booleans()))
     state = rn.RunState.fresh(cfg)
-    counts = st.integers(0, 2 ** 62)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
     for h in [*state.hists.values(), state.joint]:
         h.total[...] = rng.integers(0, 2 ** 62, h.total.shape)
-        h.hits[...] = rng.integers(0, 2 ** 62, h.hits.shape)
-        h.out_total, h.out_hits = draw(counts), draw(counts)
-    state.next_index, state.n_total, state.n_ppt = draw(counts), draw(counts), draw(counts)
+        h.hits[...] = rng.integers(0, h.total + 1)
+        h.out_total = draw(st.integers(0, 2 ** 62))
+        h.out_hits = draw(st.integers(0, h.out_total))
+    state.next_index = state.n_total = draw(st.integers(0, cfg.samples))
+    state.n_ppt = draw(st.integers(0, state.n_total))
     state.elapsed = draw(st.floats(0.0, 1e9))
     return cfg, state
 
@@ -354,6 +357,11 @@ class TestExport:
         assert report["n_total"] == cfg.samples
         assert report["config_hash"] == cfg.config_hash()
         assert report["stream_version"] == rn.STREAM_VERSION
+        software = report["software"]
+        assert sorted(software) == ["blas", "numpy", "python"]
+        assert software["python"] == platform.python_version()
+        assert software["numpy"] == np.__version__
+        assert isinstance(software["blas"], str) and software["blas"]
 
     def test_manifest_checksums(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=2_000)
@@ -412,6 +420,17 @@ class TestCli:
         assert cli.main(["analyze", "--in", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed axis CSV") and "r_A.csv" in err
+
+    @pytest.mark.parametrize("min_total", ["0", "-5"])
+    def test_analyze_min_total_below_one_exit_code(self, tmp_path, capsys, min_total):
+        # empty bins in the chi-square sum once printed chi2=nan and exited 0
+        cfg = small_cfg(tmp_path, samples=3_000)
+        rn.export(rn.run_experiment(cfg))
+        assert cli.main(["analyze", "--in", cfg.out_dir,
+                         "--flatness-min-total", min_total]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "min_total" in captured.err
+        assert "nan" not in captured.out
 
     def test_sample_analyze_report_cycle(self, tmp_path, capsys):
         out = str(tmp_path / "cli_run")
@@ -472,7 +491,10 @@ class TestCli:
                                         "empty_object", "non_object", "not_json",
                                         "no_joint", "dense_joint", "unequal_lengths",
                                         "index_past_cells", "repeated_index",
-                                        "decreasing_index"])
+                                        "decreasing_index", "string_n_ppt",
+                                        "bool_next_index", "n_ppt_above_total",
+                                        "negative_elapsed", "negative_total",
+                                        "hits_above_total", "out_hits_above_total"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
@@ -488,6 +510,9 @@ class TestCli:
             changed = {k: v for k, v in {**joint, **changes}.items() if v is not None}
             return json.dumps({**payload, "joint": changed}).encode()
 
+        def with_top(**changes):
+            return json.dumps({**payload, **changes}).encode()
+
         bodies = {"empty_object": b"{}", "non_object": b"[1, 2]",
                   "not_json": body[:-1],
                   "no_joint": body.replace(b'"joint"', b'"jointX"'),
@@ -498,7 +523,15 @@ class TestCli:
                   "unequal_lengths": with_joint(hits=joint["hits"][:-1]),
                   "index_past_cells": with_joint(index=index[:-1] + [cfg.bins ** 2]),
                   "repeated_index": with_joint(index=[index[0], *index[:-1]]),
-                  "decreasing_index": with_joint(index=[index[1], index[0], *index[2:]])}
+                  "decreasing_index": with_joint(index=[index[1], index[0], *index[2:]]),
+                  "string_n_ppt": with_top(n_ppt=str(payload["n_ppt"])),
+                  "bool_next_index": with_top(next_index=True, n_total=1, n_ppt=0),
+                  "n_ppt_above_total": with_top(n_ppt=payload["n_total"] + 1),
+                  "negative_elapsed": with_top(elapsed=-1.0),
+                  "negative_total": with_joint(total=[-1, *joint["total"][1:]]),
+                  "hits_above_total": with_joint(hits=[joint["total"][0] + 1,
+                                                       *joint["hits"][1:]]),
+                  "out_hits_above_total": with_joint(out_hits=joint["out_total"] + 1)}
         if damage == "truncated":
             ck.write_bytes(data[:-1])
         elif damage == "flipped":

@@ -1,9 +1,15 @@
 import csv
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sepprob import stats as st
+from sepprob.runner import MAX_BINS
 
 
 def rand_hist(rng, axis=None, n=5000):
@@ -117,11 +123,44 @@ class TestRatioWithCi:
 
 class TestChi2:
     def test_against_mpmath_oracle(self):
+        # even and odd dof up to MAX_BINS - 1, past the largest a flatness test
+        # over a MAX_BINS-bin axis can give (MAX_BINS - 2)
         mp = pytest.importorskip("mpmath")
-        for dof in (1, 2, 5, 17, 60, 120, 200):
-            for x in (0.5 * dof, 1.0 * dof, 1.7 * dof):
-                want = float(mp.gammainc(dof / 2, x / 2, mp.inf, regularized=True))
-                assert abs(st.chi2_sf(x, dof) - want) < 1e-10
+        dofs = (1, 2, 5, 17, 60, 97, 98, 120, 200, 997, 998, MAX_BINS - 2, MAX_BINS - 1)
+        with mp.workdps(40):
+            for dof in dofs:
+                for x in np.geomspace(1e-3 * dof, 8 * dof, 25):
+                    x = float(x)
+                    want = mp.gammainc(mp.mpf(dof) / 2, mp.mpf(x) / 2, mp.inf,
+                                       regularized=True)
+                    if want < mp.mpf("1e-300"):
+                        continue
+                    rel = abs((st.chi2_sf(x, dof) - want) / want)
+                    assert rel <= 1e-11, (dof, x, float(rel))
+
+    def test_exact_cases(self):
+        for dof in (1, 2, 3, 98, MAX_BINS - 1):
+            assert st.chi2_sf(0.0, dof) == 1.0
+        for x in (1e-300, 1e-9, 0.3, 1.0, 7.5, 100.0, 1400.0, 1e5):
+            assert st.chi2_sf(x, 2) == math.exp(-x / 2)
+            assert st.chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+    @pytest.mark.parametrize("x, dof", [(-1e-9, 3), (-1.0, 2), (math.nan, 5),
+                                        (math.inf, 5), (1.0, 0), (1.0, -2), (1.0, 2.5)])
+    def test_rejects_bad_arguments(self, x, dof):
+        with pytest.raises(ValueError):
+            st.chi2_sf(x, dof)
+
+    def test_scipy_not_imported(self):
+        # the p-value is computed without scipy, so importing sepprob must not
+        # pay scipy's import time
+        src = Path(st.__file__).resolve().parents[1]
+        code = "import sys, sepprob, sepprob.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestFlatnessTest:
@@ -170,6 +209,16 @@ class TestFlatnessTest:
                              hits=np.array([1, 2, 3, 4], dtype=np.int64))
         with pytest.raises(st.InsufficientData):
             st.flatness_test(h, min_total=1000)
+
+    def test_min_total_below_one_refused(self):
+        # min_total 0 would let empty bins into the sum and give chi2 = nan
+        ax = st.Axis("x", 0, 1, 4)
+        h = st.HistogramPair(axis=ax,
+                             total=np.array([5, 0, 5, 5], dtype=np.int64),
+                             hits=np.array([1, 0, 3, 4], dtype=np.int64))
+        for min_total in (0, -1):
+            with pytest.raises(ValueError, match="min_total"):
+                st.flatness_test(h, min_total=min_total)
 
 
 class TestFitScale:
@@ -298,10 +347,10 @@ class TestJointHistogram:
 
 class TestCountCodec:
     def test_roundtrip_keeps_only_occupied_cells(self):
-        total = np.array([[0, 3, 0], [0, 0, 0], [1, 0, 5]], dtype=np.int64)
+        total = np.array([[0, 3, 2], [0, 0, 0], [1, 0, 5]], dtype=np.int64)
         hits = np.array([[0, 1, 2], [0, 0, 0], [0, 0, 5]], dtype=np.int64)
         enc = st.encode_counts(total, hits)
-        assert enc == {"index": [1, 2, 6, 8], "total": [3, 0, 1, 5], "hits": [1, 2, 0, 5]}
+        assert enc == {"index": [1, 2, 6, 8], "total": [3, 2, 1, 5], "hits": [1, 2, 0, 5]}
         back_total, back_hits = st.decode_counts(enc, (3, 3))
         assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
         empty = st.encode_counts(np.zeros(4, np.int64), np.zeros(4, np.int64))
@@ -316,9 +365,13 @@ class TestCountCodec:
         {"index": [0, 4], "total": [1, 2], "hits": [0, 0]},
         {"index": [1, 1], "total": [1, 2], "hits": [0, 0]},
         {"index": "01", "total": [1, 2], "hits": [0, 0]},
-        {"total": [0, 0, 0, 1], "hits": [0, 0, 0, 1]}],
+        {"total": [0, 0, 0, 1], "hits": [0, 0, 0, 1]},
+        {"index": [0, 1], "total": [-1, 2], "hits": [0, 0]},
+        {"index": [0, 1], "total": [1, 2], "hits": [-1, 0]},
+        {"index": [0, 1], "total": [1, 2], "hits": [1, 3]}],
         ids=["float", "bool", "nested", "lengths", "negative", "past_end",
-             "repeated", "not_a_list", "dense"])
+             "repeated", "not_a_list", "dense", "negative_total", "negative_hits",
+             "hits_above_total"])
     def test_malformed_counts_rejected(self, counts):
         with pytest.raises(ValueError):
             st.decode_counts(counts, (2, 2))
