@@ -5,7 +5,8 @@ Workers own private histograms over disjoint contiguous index ranges and
 results are merged with commutative sums, so no result depends on worker
 count or scheduling order.  A checkpoint is a line with the sha256 hex
 digest of the bytes after it, then one JSON object: the config and its
-hash, the next sample index and all histogram counts.
+hash, the next sample index and all histogram counts, each count array
+packed as little-endian binary in base64 (stats.encode_counts).
 """
 
 from __future__ import annotations
@@ -256,13 +257,15 @@ class ExperimentReport:
 
 
 def software_stack() -> dict:
-    """The interpreter, numpy and BLAS versions a report was produced with."""
+    """The interpreter, numpy and BLAS versions a report was produced with,
+    and the number of CPUs the process may run on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):
         blas = "unknown"
-    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "cpus": len(os.sched_getaffinity(0))}
 
 
 def _report_fits(cfg: ExperimentConfig, hists: dict) -> dict:

@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,12 @@ def haar_unitary(rng, d: int) -> np.ndarray:
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def packed(values, width: int = 8) -> str:
+    """values as the checkpoint count codec stores them, at the given byte width."""
+    raw = np.asarray(values, dtype=f"<u{width}").tobytes()
+    return f"u{width}:" + base64.b64encode(raw).decode()
 
 
 @pytest.fixture

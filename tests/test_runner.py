@@ -1,13 +1,19 @@
+import base64
 import hashlib
 import json
+import os
 import platform
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import packed
 from sepprob import cli
 from sepprob import runner as rn
+
+
+AXIS_CSV_HEADER = "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n"
 
 
 def small_cfg(tmp_path, **kw):
@@ -34,6 +40,12 @@ def write_parent_format(path, cfg, state):
 def write_with_digest(path, body: bytes):
     """A checkpoint whose digest line matches the given body."""
     path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+
+
+def unpacked(text: str) -> list[int]:
+    """The integers of one count-codec string."""
+    width, _, data = text.partition(":")
+    return np.frombuffer(base64.b64decode(data), dtype=f"<{width}").tolist()
 
 
 @st.composite
@@ -262,6 +274,27 @@ class TestCheckpointResume:
         rn.run_experiment(cfg)
         assert rn.checkpoint_path(cfg.out_dir).stat().st_size < 150_000
 
+    def test_nearly_full_joint_smaller_than_dense(self, tmp_path):
+        # flat index lists once made such a checkpoint larger than the dense form
+        cfg = small_cfg(tmp_path, dim_b=2, samples=100_000, bins=8)
+        rn.run_experiment(cfg)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        payload = json.loads(ck.read_bytes().partition(b"\n")[2])
+        state = rn.load_checkpoint(ck, cfg)[1]
+        assert (state.joint.total > 0).mean() >= 0.9
+
+        def dense(d, h):
+            sparse = ("index", "total", "hits")
+            return {**{k: v for k, v in d.items() if k not in sparse},
+                    "total": h.total.ravel().tolist(), "hits": h.hits.ravel().tolist()}
+
+        dense_payload = {**payload, "joint": dense(payload["joint"], state.joint),
+                         "histograms": {lb: dense(d, state.hists[lb])
+                                        for lb, d in payload["histograms"].items()}}
+        # the digest line is 64 hex digits and a newline
+        dense_size = 65 + len(json.dumps(dense_payload).encode())
+        assert ck.stat().st_size < dense_size
+
     @pytest.mark.parametrize("damage", ["extra_axis", "missing_axis", "joint_bins",
                                         "huge_joint_bins"])
     def test_axes_must_match_config(self, tmp_path, capsys, damage):
@@ -358,7 +391,8 @@ class TestExport:
         assert report["config_hash"] == cfg.config_hash()
         assert report["stream_version"] == rn.STREAM_VERSION
         software = report["software"]
-        assert sorted(software) == ["blas", "numpy", "python"]
+        assert sorted(software) == ["blas", "cpus", "numpy", "python"]
+        assert software["cpus"] == len(os.sched_getaffinity(0))
         assert software["python"] == platform.python_version()
         assert software["numpy"] == np.__version__
         assert isinstance(software["blas"], str) and software["blas"]
@@ -412,10 +446,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("text", [
-        "", "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n",
-        "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n0,0.5\n"],
-        ids=["empty", "header_only", "short_row"])
+        "", AXIS_CSV_HEADER, AXIS_CSV_HEADER + "0,0.5\n",
+        AXIS_CSV_HEADER + "0,0.5,20,100,5,1,1\n0.5,1,20,5,0.25,0.1,0.5\n",
+        AXIS_CSV_HEADER + "0,0.5,-20,0,,,\n0.5,1,20,5,0.25,0.1,0.5\n",
+        "# out_total=3 out_hits=4\n" + AXIS_CSV_HEADER
+        + "0,0.5,20,5,0.25,0.1,0.5\n0.5,1,20,5,0.25,0.1,0.5\n"],
+        ids=["empty", "header_only", "short_row", "hits_above_total", "negative_total",
+             "out_hits_above_total"])
     def test_analyze_malformed_csv_exit_code(self, tmp_path, capsys, text):
+        # the count cases once parsed and printed a chi-square result, exit 0
         (tmp_path / "r_A.csv").write_text(text)
         assert cli.main(["analyze", "--in", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -494,7 +533,8 @@ class TestCli:
                                         "decreasing_index", "string_n_ppt",
                                         "bool_next_index", "n_ppt_above_total",
                                         "negative_elapsed", "negative_total",
-                                        "hits_above_total", "out_hits_above_total"])
+                                        "hits_above_total", "out_hits_above_total",
+                                        "list_joint"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
@@ -504,7 +544,7 @@ class TestCli:
         state = rn.load_checkpoint(ck)[1]
         payload = json.loads(body)
         joint = payload["joint"]
-        index = joint["index"]
+        index, total, hits = (unpacked(joint[k]) for k in ("index", "total", "hits"))
 
         def with_joint(**changes):
             changed = {k: v for k, v in {**joint, **changes}.items() if v is not None}
@@ -520,17 +560,20 @@ class TestCli:
                   "dense_joint": with_joint(index=None,
                                             total=state.joint.total.ravel().tolist(),
                                             hits=state.joint.hits.ravel().tolist()),
-                  "unequal_lengths": with_joint(hits=joint["hits"][:-1]),
-                  "index_past_cells": with_joint(index=index[:-1] + [cfg.bins ** 2]),
-                  "repeated_index": with_joint(index=[index[0], *index[:-1]]),
-                  "decreasing_index": with_joint(index=[index[1], index[0], *index[2:]]),
+                  # the joint as the earlier sparse format wrote it: plain lists
+                  "list_joint": with_joint(index=index, total=total, hits=hits),
+                  "unequal_lengths": with_joint(hits=packed(hits[:-1])),
+                  "index_past_cells": with_joint(index=packed(index[:-1] + [cfg.bins ** 2])),
+                  "repeated_index": with_joint(index=packed([index[0], *index[:-1]])),
+                  "decreasing_index": with_joint(
+                      index=packed([index[1], index[0], *index[2:]])),
                   "string_n_ppt": with_top(n_ppt=str(payload["n_ppt"])),
                   "bool_next_index": with_top(next_index=True, n_total=1, n_ppt=0),
                   "n_ppt_above_total": with_top(n_ppt=payload["n_total"] + 1),
                   "negative_elapsed": with_top(elapsed=-1.0),
-                  "negative_total": with_joint(total=[-1, *joint["total"][1:]]),
-                  "hits_above_total": with_joint(hits=[joint["total"][0] + 1,
-                                                       *joint["hits"][1:]]),
+                  # a u8 value past the int64 range, -1 if read as signed
+                  "negative_total": with_joint(total=packed([2 ** 64 - 1, *total[1:]])),
+                  "hits_above_total": with_joint(hits=packed([total[0] + 1, *hits[1:]])),
                   "out_hits_above_total": with_joint(out_hits=joint["out_total"] + 1)}
         if damage == "truncated":
             ck.write_bytes(data[:-1])

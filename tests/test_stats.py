@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+from conftest import packed
 from sepprob import stats as st
 from sepprob.runner import MAX_BINS
 
@@ -17,6 +19,68 @@ def rand_hist(rng, axis=None, n=5000):
     h = st.HistogramPair(axis=axis)
     h.accumulate_many(rng.random(n) * 1.2 - 0.1, rng.random(n) < 0.3)
     return h
+
+
+def wilson_oracle(hits: int, total: int, level: float = 0.95) -> tuple[float, float]:
+    """The Wilson bounds as ratio_with_ci computed them one Python count pair
+    at a time, before the array form."""
+    p = hits / total
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
+    z2 = z * z
+    denom = 1.0 + z2 / total
+    center = (p + z2 / (2 * total)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / total + z2 / (4 * total * total)) / denom
+    lo = 0.0 if hits == 0 else float(max(center - half, 0.0))
+    hi = 1.0 if hits == total else float(min(center + half, 1.0))
+    return lo, hi
+
+
+def axis_csv_oracle(h: st.HistogramPair, path) -> None:
+    """HistogramPair.to_csv as a csv.writer row per bin with a scalar
+    Wilson interval, the writer the array form replaced."""
+    edges = h.axis.edges()
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# axis={h.axis.label} lo={h.axis.lo} hi={h.axis.hi}"
+                 f" bins={h.axis.bins}\n")
+        fh.write(f"# out_total={h.out_total} out_hits={h.out_hits}\n")
+        w = csv.writer(fh)
+        w.writerow(["bin_lo", "bin_hi", "total", "hits", "p_hat", "ci_lo", "ci_hi"])
+        for i in range(h.axis.bins):
+            row = [f"{edges[i]:.10g}", f"{edges[i + 1]:.10g}",
+                   int(h.total[i]), int(h.hits[i])]
+            if h.total[i] > 0:
+                lo, hi = wilson_oracle(int(h.hits[i]), int(h.total[i]))
+                row += [f"{int(h.hits[i]) / int(h.total[i]):.10g}", f"{lo:.10g}",
+                        f"{hi:.10g}"]
+            else:
+                row += ["", "", ""]
+            w.writerow(row)
+
+
+def joint_csv_oracle(j: st.JointHistogram, path) -> None:
+    """JointHistogram.to_csv as a csv.writer row per occupied cell."""
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# axis_x={j.axis_x.label} axis_y={j.axis_y.label}"
+                 f" bins={j.axis_x.bins}x{j.axis_y.bins}\n")
+        fh.write(f"# out_total={j.out_total} out_hits={j.out_hits}\n")
+        w = csv.writer(fh)
+        w.writerow(["xbin", "ybin", "total", "hits"])
+        for i in range(j.axis_x.bins):
+            for k in range(j.axis_y.bins):
+                if j.total[i, k] or j.hits[i, k]:
+                    w.writerow([i, k, int(j.total[i, k]), int(j.hits[i, k])])
+
+
+def edge_counts(rng, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(total, hits) with empty bins, hits = 0, hits = total and totals up to top."""
+    total = rng.integers(0, top, n, endpoint=True)
+    total[rng.random(n) < 0.2] = 0
+    fixed = [top, 1, 0][:n]
+    total[:len(fixed)] = fixed
+    hits = rng.integers(0, total, endpoint=True)
+    kind = rng.integers(0, 3, n)
+    hits = np.where(kind == 0, 0, np.where(kind == 1, total, hits))
+    return total.astype(np.int64), hits.astype(np.int64)
 
 
 class TestAxis:
@@ -86,6 +150,28 @@ class TestHistogramPair:
         assert np.array_equal(back.hits, h.hits)
         assert back.out_total == h.out_total
 
+    @pytest.mark.parametrize("top", [1, 7, 1000, 10 ** 6, 10 ** 12])
+    def test_csv_bytes_match_per_row_oracle(self, rng, tmp_path, top):
+        for bins, lo, hi in ((1, 0.0, 1.0), (37, -1.0, 1.0), (500, 0.0, 3.0)):
+            total, hits = edge_counts(rng, bins, top)
+            h = st.HistogramPair(axis=st.Axis("x", lo, hi, bins), total=total, hits=hits,
+                                 out_total=int(rng.integers(0, 10 ** 9)), out_hits=0)
+            h.to_csv(tmp_path / "h.csv")
+            axis_csv_oracle(h, tmp_path / "oracle.csv")
+            assert (tmp_path / "h.csv").read_bytes() == \
+                (tmp_path / "oracle.csv").read_bytes(), (top, bins)
+
+    @pytest.mark.parametrize("row", ["0,0.01,5,25", "0,0.01,-3,0", "0,0.01,5,-1"],
+                             ids=["hits_above_total", "negative_total", "negative_hits"])
+    def test_from_csv_refuses_bad_counts(self, rng, tmp_path, row):
+        path = tmp_path / "h.csv"
+        rand_hist(rng).to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[3] = row + ",,,"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match="malformed axis CSV"):
+            st.HistogramPair.from_csv(path)
+
 
 class TestRatioWithCi:
     def test_paper_interval_qubit_qutrit(self):
@@ -119,6 +205,21 @@ class TestRatioWithCi:
     def test_empty_cell(self):
         with pytest.raises(st.EmptyCell):
             st.ratio_with_ci(0, 0)
+
+    @pytest.mark.parametrize("level", [0.95, 0.999, 0.5])
+    def test_wilson_arrays_match_scalar_oracle_bitwise(self, rng, level):
+        total, hits = edge_counts(rng, 4000, 10 ** 12)
+        small_total, small_hits = edge_counts(rng, 4000, 50)
+        total, hits = np.r_[total, small_total], np.r_[hits, small_hits]
+        occupied = total > 0
+        pairs = list(zip(hits[occupied].tolist(), total[occupied].tolist()))
+        want = [[(s / t).hex(), *(x.hex() for x in wilson_oracle(s, t, level))]
+                for s, t in pairs]
+        arrays = st.wilson_interval(hits[occupied], total[occupied], level)
+        assert [[x.hex() for x in row] for row in zip(*(a.tolist() for a in arrays))] \
+            == want
+        ests = [st.ratio_with_ci(s, t, level) for s, t in pairs]
+        assert [[e.p_hat.hex(), e.ci_lo.hex(), e.ci_hi.hex()] for e in ests] == want
 
 
 class TestChi2:
@@ -331,18 +432,19 @@ class TestJointHistogram:
         assert sum(int(r[2]) for r in rows) == 500
 
         # byte-for-byte against a cell-by-cell loop
-        oracle = tmp_path / "oracle.csv"
-        with open(oracle, "w", newline="") as fh:
-            fh.write(f"# axis_x={j.axis_x.label} axis_y={j.axis_y.label}"
-                     f" bins={j.axis_x.bins}x{j.axis_y.bins}\n")
-            fh.write(f"# out_total={j.out_total} out_hits={j.out_hits}\n")
-            w = csv.writer(fh)
-            w.writerow(["xbin", "ybin", "total", "hits"])
-            for i in range(j.axis_x.bins):
-                for k in range(j.axis_y.bins):
-                    if j.total[i, k] or j.hits[i, k]:
-                        w.writerow([i, k, int(j.total[i, k]), int(j.hits[i, k])])
-        assert path.read_bytes() == oracle.read_bytes()
+        joint_csv_oracle(j, tmp_path / "oracle.csv")
+        assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    def test_csv_across_row_slices(self, rng, tmp_path):
+        # more occupied cells than one formatting slice, and counts up to 10**12
+        total, hits = edge_counts(rng, 200 * 200, 10 ** 12)
+        j = st.JointHistogram(axis_x=st.Axis.default("r_A", 200),
+                              axis_y=st.Axis.default("R_B", 200),
+                              total=total.reshape(200, 200), hits=hits.reshape(200, 200))
+        assert (j.total > 0).sum() > 3 * st.CSV_SLICE_ROWS
+        j.to_csv(tmp_path / "joint.csv")
+        joint_csv_oracle(j, tmp_path / "oracle.csv")
+        assert (tmp_path / "joint.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestCountCodec:
@@ -350,28 +452,66 @@ class TestCountCodec:
         total = np.array([[0, 3, 2], [0, 0, 0], [1, 0, 5]], dtype=np.int64)
         hits = np.array([[0, 1, 2], [0, 0, 0], [0, 0, 5]], dtype=np.int64)
         enc = st.encode_counts(total, hits)
-        assert enc == {"index": [1, 2, 6, 8], "total": [3, 2, 1, 5], "hits": [1, 2, 0, 5]}
+        assert enc == {"index": packed([1, 2, 6, 8], 1), "total": packed([3, 2, 1, 5], 1),
+                       "hits": packed([1, 2, 0, 5], 1)}
         back_total, back_hits = st.decode_counts(enc, (3, 3))
         assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
         empty = st.encode_counts(np.zeros(4, np.int64), np.zeros(4, np.int64))
+        assert empty == {"index": "u1:", "total": "u1:", "hits": "u1:"}
         assert not st.decode_counts(empty, (4,))[0].any()
 
+    @pytest.mark.parametrize("top, width", [
+        (0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2 ** 32 - 1, 4),
+        (2 ** 32, 8), (2 ** 63 - 1, 8)])
+    def test_narrowest_width_roundtrip(self, top, width):
+        values = np.array([0, top // 3, top, 1], dtype=np.int64)
+        text = st.pack_counts(values)
+        assert text == packed(values, width)
+        back = st.unpack_counts(text, "total")
+        assert back.dtype == np.int64 and np.array_equal(back, values)
+        assert st.pack_counts(values[:0]) == "u1:"
+        assert st.unpack_counts(f"u{width}:", "total").size == 0
+
+    def test_roundtrip_at_every_width(self):
+        cells = 70_000   # flat indices past 65535 need four bytes
+        for top in (255, 256, 65535, 65536, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1):
+            total = np.zeros(cells, dtype=np.int64)
+            total[[0, 5, 255, 256, 65535, 65536, cells - 1]] = [1, top, 7, top, 1, 2, top]
+            hits = total // 2
+            enc = st.encode_counts(total, hits)
+            back_total, back_hits = st.decode_counts(enc, (cells,))
+            assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
+            assert enc["index"].startswith("u4:")
+
     @pytest.mark.parametrize("counts", [
-        {"index": [0, 1], "total": [1.5, 2], "hits": [0, 0]},
-        {"index": [0, 1], "total": [True, False], "hits": [0, 0]},
-        {"index": [[0], [1]], "total": [1, 2], "hits": [0, 0]},
-        {"index": [0, 1], "total": [1, 2], "hits": [0]},
-        {"index": [-1, 1], "total": [1, 2], "hits": [0, 0]},
-        {"index": [0, 4], "total": [1, 2], "hits": [0, 0]},
-        {"index": [1, 1], "total": [1, 2], "hits": [0, 0]},
-        {"index": "01", "total": [1, 2], "hits": [0, 0]},
-        {"total": [0, 0, 0, 1], "hits": [0, 0, 0, 1]},
-        {"index": [0, 1], "total": [-1, 2], "hits": [0, 0]},
-        {"index": [0, 1], "total": [1, 2], "hits": [-1, 0]},
-        {"index": [0, 1], "total": [1, 2], "hits": [1, 3]}],
+        {"index": packed([0, 1], 1), "total": "f8:" + packed([1.5, 2.0], 8)[3:],
+         "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": True, "hits": packed([0, 0], 1)},
+        {"index": [packed([0], 1), packed([1], 1)], "total": packed([1, 2], 1),
+         "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": packed([1, 2], 1), "hits": packed([0], 1)},
+        {"index": packed([2 ** 64 - 1, 1], 8), "total": packed([1, 2], 1),
+         "hits": packed([0, 0], 1)},
+        {"index": packed([0, 4], 1), "total": packed([1, 2], 1), "hits": packed([0, 0], 1)},
+        {"index": packed([1, 1], 1), "total": packed([1, 2], 1), "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1)[3:], "total": packed([1, 2], 1),
+         "hits": packed([0, 0], 1)},
+        {"total": packed([0, 0, 0, 1], 1), "hits": packed([0, 0, 0, 1], 1)},
+        {"index": packed([0, 1], 1), "total": packed([2 ** 63, 2], 8),
+         "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": packed([1, 2], 1),
+         "hits": packed([2 ** 63, 0], 8)},
+        {"index": packed([0, 1], 1), "total": packed([1, 2], 1), "hits": packed([1, 3], 1)},
+        {"index": [0, 1], "total": [1, 2], "hits": [0, 0]},
+        {"index": packed([0, 1], 1), "total": "u1:AQI", "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": "u1:AQ!C", "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": "u1:AQ\u00e9=", "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": "u3:AQIDBAUG", "hits": packed([0, 0], 1)},
+        {"index": packed([0, 1], 1), "total": "u2:AQID", "hits": packed([0, 0], 1)}],
         ids=["float", "bool", "nested", "lengths", "negative", "past_end",
              "repeated", "not_a_list", "dense", "negative_total", "negative_hits",
-             "hits_above_total"])
+             "hits_above_total", "list_format", "bad_padding", "bad_base64_char",
+             "non_ascii", "unknown_width", "ragged_bytes"])
     def test_malformed_counts_rejected(self, counts):
         with pytest.raises(ValueError):
             st.decode_counts(counts, (2, 2))
