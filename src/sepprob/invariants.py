@@ -1,6 +1,11 @@
 """su(d) generator basis, coherence (generalized Bloch) vectors, Casimir
 invariants and the two-qubit correlation invariant.
 
+Every invariant a run records is a closed form in the power traces tr rho^2,
+tr rho_A^2, tr rho_B^2 and, on a qutrit side, tr rho^3; the generator basis,
+coherence vectors and d-tensor define those invariants and check them, and
+the sampling path never builds them.
+
 Basis order is frozen: symmetric off-diagonal generators in lexicographic
 (j,k) order (j<k), then the antisymmetric ones in the same order, then the
 d-1 diagonal generators.  For d=2 this is (sigma_x, sigma_y, sigma_z); for
@@ -105,64 +110,64 @@ def d_tensor(d: int) -> DTensor:
     return DTensor(d=basis.d, entries=entries)
 
 
-def cubic_casimir_batch(rhos: np.ndarray) -> np.ndarray:
-    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c of states (..., d, d).
-
-    Closed form: with rho = I/d + n.l/2, tr rho^2 = 1/d + |n|^2/2 and
-    tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc d_abc n_a n_b n_c.
-    """
+def cubic_casimir_batch(rhos: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c of states (..., d, d) with quadratic
+    Casimir c2: with rho = I/d + n.l/2, |n|^2 = c2 radius_scale(d)^2 and
+    tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc d_abc n_a n_b n_c."""
     d = rhos.shape[-1]
-    n2 = 2.0 * (mc.purity_batch(rhos) - 1.0 / d)
+    n2 = c2 * radius_scale(d) ** 2
     tr3 = np.einsum("...ij,...jk,...ki->...", rhos, rhos, rhos).real
     return 4.0 * (tr3 - 1.0 / d ** 2 - 1.5 * n2 / d) / radius_scale(d) ** 3
 
 
-@lru_cache(maxsize=None)
-def _pauli_pairs() -> np.ndarray:
-    sig = su_basis(2).matrices  # (sigma_x, sigma_y, sigma_z)
-    return np.array([np.kron(sig[i], sig[j]) for i in range(3) for j in range(3)])
-
-
-def fano_correlation_invariant_batch(rhos: np.ndarray) -> np.ndarray:
-    """Sum of squares of the 3x3 Fano correlation matrix of two-qubit states."""
+def fano_correlation_invariant_batch(rhos: np.ndarray, c2_a: np.ndarray,
+                                     c2_b: np.ndarray) -> np.ndarray:
+    """Sum of squares |t|^2 of the Fano correlation matrix of two-qubit states
+    rho = (I + a.s x I + I x b.s + t_ij s_i x s_j)/4 with c2_a = |a|^2 and
+    c2_b = |b|^2, from 4 tr rho^2 = 1 + |a|^2 + |b|^2 + |t|^2."""
     if rhos.shape[-2:] != (4, 4):
         raise mc.ShapeMismatch(f"expected 4x4 states, got shape {rhos.shape}")
-    c = np.einsum("...ij,aji->...a", rhos, _pauli_pairs()).real
-    return np.einsum("...a,...a->...", c, c)
+    return np.clip(4.0 * mc.purity_batch(rhos) - 1.0 - c2_a - c2_b, 0.0, None)
 
 
-def _quadratic_casimir(red: np.ndarray) -> np.ndarray:
-    """Squared normalized Bloch radius (purity - 1/d)/(1 - 1/d) of reduced states."""
+def quadratic_casimir_batch(red: np.ndarray) -> np.ndarray:
+    """Squared normalized Bloch radius (purity - 1/d)/(1 - 1/d) of states (..., d, d)."""
     d = red.shape[-1]
     if d == 1:
         return np.zeros(red.shape[:-2])
     return np.clip((mc.purity_batch(red) - 1.0 / d) / (1.0 - 1.0 / d), 0.0, None)
 
 
-def record_batch(rhos: np.ndarray, dims: tuple[int, int]) -> dict:
-    """Invariants and PPT flags of bipartite states (..., m*n, m*n).
-
-    Returns arrays keyed r_a, r_b, c2_a, c2_b, ppt, min_eig and, when
-    applicable, c3_a / c3_b (qutrit subsystem) and c002 (2x2 shape).
-    """
+def axis_labels(dims: tuple[int, int]) -> list[str]:
+    """Invariant axes recorded for an m x n bipartition: the radii and
+    quadratic Casimirs always, c3 of each qutrit side, C002 for two qubits."""
     m, n = dims
+    labels = ["r_A", "R_B", "c2_A", "c2_B"]
+    if m == 3:
+        labels.append("c3_A")
+    if n == 3:
+        labels.append("c3_B")
+    if (m, n) == (2, 2):
+        labels.append("C002")
+    return labels
+
+
+def record_batch(rhos: np.ndarray, dims: tuple[int, int]) -> dict:
+    """PPT flags ("ppt") and one array per axis_labels(dims) entry of
+    bipartite states (..., m*n, m*n)."""
     rho_a = mc.partial_trace_batch(rhos, dims, "A")
     rho_b = mc.partial_trace_batch(rhos, dims, "B")
-    c2_a = _quadratic_casimir(rho_a)
-    c2_b = _quadratic_casimir(rho_b)
-    min_eig = mc.min_pt_eigenvalue_batch(rhos, dims)
-    out = {
-        "r_a": np.sqrt(c2_a),
-        "r_b": np.sqrt(c2_b),
-        "c2_a": c2_a,
-        "c2_b": c2_b,
-        "min_eig": min_eig,
-        "ppt": min_eig >= -mc.PPT_TOL,
+    c2_a = quadratic_casimir_batch(rho_a)
+    c2_b = quadratic_casimir_batch(rho_b)
+    derived = {
+        "r_A": lambda: np.sqrt(c2_a),
+        "R_B": lambda: np.sqrt(c2_b),
+        "c2_A": lambda: c2_a,
+        "c2_B": lambda: c2_b,
+        "c3_A": lambda: cubic_casimir_batch(rho_a, c2_a),
+        "c3_B": lambda: cubic_casimir_batch(rho_b, c2_b),
+        "C002": lambda: fano_correlation_invariant_batch(rhos, c2_a, c2_b),
     }
-    if m == 3:
-        out["c3_a"] = cubic_casimir_batch(rho_a)
-    if n == 3:
-        out["c3_b"] = cubic_casimir_batch(rho_b)
-    if (m, n) == (2, 2):
-        out["c002"] = fano_correlation_invariant_batch(rhos)
+    out = {lb: derived[lb]() for lb in axis_labels(dims)}
+    out["ppt"] = mc.min_pt_eigenvalue_batch(rhos, dims) >= -mc.PPT_TOL
     return out

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .invariants import record_batch
+from .invariants import axis_labels, record_batch
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
 from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     fit_scale, flatness_test, ratio_with_ci, read_count)
@@ -32,13 +32,15 @@ from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
 # multiples, so only the first one of a range can start mid-chunk
 SUB_BATCH = 2 * CHUNK_SAMPLES
 
-# record_batch key for each axis label
-AXIS_KEYS = {"r_A": "r_a", "R_B": "r_b", "c2_A": "c2_a", "c2_B": "c2_b",
-             "c3_A": "c3_a", "c3_B": "c3_b", "C002": "c002"}
-
-
 # the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
 MAX_BINS = 2048
+# a pool forks all of its workers at the first submit
+MAX_WORKERS = 256
+# one sample's G is n x k and its state n x n; a sub-batch draws SUB_BATCH x
+# 2nk float64 normals, then a complex G of the same bytes, so at this cap on
+# n*max(n, k) that is 8192 * 1024 * 32 B = 268 MB, and at most as much again
+# for the states and their partial transposes
+MAX_MATRIX_ENTRIES = 1024
 
 
 class ConfigError(ValueError):
@@ -90,8 +92,11 @@ class ExperimentConfig:
             raise ConfigError("samples must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
+        if n * max(n, self.k) > MAX_MATRIX_ENTRIES:
+            raise ConfigError(f"n*max(n, k) must be <= {MAX_MATRIX_ENTRIES}, "
+                              f"got n={n}, k={self.k}")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
         if not 1 <= self.bins <= MAX_BINS:
@@ -106,18 +111,9 @@ class ExperimentConfig:
     def measure_spec(self) -> MeasureSpec:
         return MeasureSpec(n=self.n, k=self.k, label=self.measure)
 
-    def axis_labels(self) -> list[str]:
-        labels = ["r_A", "R_B", "c2_A", "c2_B"]
-        if self.dim_a == 3:
-            labels.append("c3_A")
-        if self.dim_b == 3:
-            labels.append("c3_B")
-        if (self.dim_a, self.dim_b) == (2, 2):
-            labels.append("C002")
-        return labels
-
     def axes(self) -> dict[str, Axis]:
-        return {lb: Axis.default(lb, self.bins) for lb in self.axis_labels()}
+        return {lb: Axis.default(lb, self.bins)
+                for lb in axis_labels((self.dim_a, self.dim_b))}
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -215,8 +211,8 @@ def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
         ppt = rec["ppt"]
         part.n_ppt += int(ppt.sum())
         for lb, h in part.hists.items():
-            h.accumulate_many(rec[AXIS_KEYS[lb]], ppt)
-        part.joint.accumulate_many(rec["r_a"], rec["r_b"], ppt)
+            h.accumulate_many(rec[lb], ppt)
+        part.joint.accumulate_many(rec["r_A"], rec["R_B"], ppt)
     part.n_total = count
     return part
 

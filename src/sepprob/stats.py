@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import erfc, exp, isfinite, lgamma, log, prod, sqrt
 from statistics import NormalDist
 
@@ -248,8 +248,7 @@ class HistogramPair:
             raise ValueError(f"malformed axis CSV {path}: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {"axis": {"label": self.axis.label, "lo": self.axis.lo,
-                         "hi": self.axis.hi, "bins": self.axis.bins},
+        return {"axis": asdict(self.axis),
                 **encode_counts(self.total, self.hits),
                 "out_total": self.out_total, "out_hits": self.out_hits}
 
@@ -337,10 +336,7 @@ class JointHistogram:
                 fh.write("%d,%d,%d,%d\r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
     def to_dict(self) -> dict:
-        return {"axis_x": {"label": self.axis_x.label, "lo": self.axis_x.lo,
-                           "hi": self.axis_x.hi, "bins": self.axis_x.bins},
-                "axis_y": {"label": self.axis_y.label, "lo": self.axis_y.lo,
-                           "hi": self.axis_y.hi, "bins": self.axis_y.bins},
+        return {"axis_x": asdict(self.axis_x), "axis_y": asdict(self.axis_y),
                 **encode_counts(self.total, self.hits),
                 "out_total": self.out_total, "out_hits": self.out_hits}
 

@@ -175,7 +175,7 @@ def test_criterion_12_structural_properties(tmp_path_factory):
         failures.append("PT purity preservation")
     a = inv.record_batch(rhos, (2, 3))
     b = inv.record_batch(pt, (2, 3))
-    for key in ("r_a", "r_b", "c2_a", "c2_b", "c3_b"):
+    for key in ("r_A", "R_B", "c2_A", "c2_B", "c3_B"):
         if np.abs(a[key] - b[key]).max() > 1e-10:
             failures.append(f"PT-insensitivity of {key}")
 

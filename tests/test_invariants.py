@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 from sepprob import invariants as inv
 from sepprob import matrix_core as mc
 from sepprob.random_states import hilbert_schmidt, state_batch
+from sepprob.runner import ExperimentConfig, RunState
 from conftest import (bell_psi_minus, haar_unitary, loop_partial_transpose,
                       random_density)
 
@@ -72,6 +76,18 @@ def cubic_casimir_oracle(rho: np.ndarray) -> float:
                for (a, b, c), val in inv.d_tensor(d).entries.items())
 
 
+def c3(rhos: np.ndarray) -> np.ndarray:
+    """cubic_casimir_batch given the states' own quadratic Casimir."""
+    return inv.cubic_casimir_batch(rhos, inv.quadratic_casimir_batch(rhos))
+
+
+def fano(rhos: np.ndarray) -> np.ndarray:
+    """fano_correlation_invariant_batch given the reduced states' c2."""
+    c2 = [inv.quadratic_casimir_batch(mc.partial_trace_batch(rhos, (2, 2), keep))
+          for keep in "AB"]
+    return inv.fano_correlation_invariant_batch(rhos, *c2)
+
+
 def fano_oracle(rho: np.ndarray) -> float:
     sig = inv.su_basis(2).matrices
     return sum(np.trace(rho @ np.kron(a, b)).real ** 2 for a in sig for b in sig)
@@ -84,14 +100,14 @@ def record_oracle(rho: np.ndarray, dims: tuple[int, int]) -> dict:
     rho_a = sum(T[:, j, :, j] for j in range(n))
     rho_b = sum(T[i, :, i, :] for i in range(m))
     pt = loop_partial_transpose(rho, m, n)
-    out = {"r_a": gell_mann_radius(rho_a), "r_b": gell_mann_radius(rho_b),
+    out = {"r_A": gell_mann_radius(rho_a), "R_B": gell_mann_radius(rho_b),
            "ppt": np.linalg.eigvalsh(pt)[0] >= -mc.PPT_TOL}
     if m == 3:
-        out["c3_a"] = cubic_casimir_oracle(rho_a)
+        out["c3_A"] = cubic_casimir_oracle(rho_a)
     if n == 3:
-        out["c3_b"] = cubic_casimir_oracle(rho_b)
+        out["c3_B"] = cubic_casimir_oracle(rho_b)
     if dims == (2, 2):
-        out["c002"] = fano_oracle(rho)
+        out["C002"] = fano_oracle(rho)
     return out
 
 
@@ -166,36 +182,35 @@ class TestDTensor:
 
 class TestCubicCasimir:
     def test_maximally_mixed(self):
-        assert abs(inv.cubic_casimir_batch(np.eye(3) / 3)) < 1e-14
+        assert abs(c3(np.eye(3) / 3)) < 1e-14
 
     def test_pure_qutrit(self):
-        assert abs(inv.cubic_casimir_batch(np.diag([1.0, 0, 0])) - 1 / np.sqrt(3)) < 1e-12
+        assert abs(c3(np.diag([1.0, 0, 0])) - 1 / np.sqrt(3)) < 1e-12
 
     def test_qubit_always_zero(self, rng):
         # su(2) has no d-tensor; the closed form cancels to rounding
         assert inv.d_tensor(2).entries == {}
         rhos = random_density(rng, 2, batch=20)
-        assert np.abs(inv.cubic_casimir_batch(rhos)).max() < 1e-14
+        assert np.abs(c3(rhos)).max() < 1e-14
 
     def test_closed_form_matches_d_tensor_oracle(self):
         rhos = state_batch(hilbert_schmidt(3), 9, 0, 20_000)
-        got = inv.cubic_casimir_batch(rhos)
+        got = c3(rhos)
         want = np.array([cubic_casimir_oracle(rho) for rho in rhos])
         assert np.abs(got - want).max() < 1e-12
 
     def test_batch_matches_scalar(self):
         # one state is a batch with no leading axes
         rhos = state_batch(hilbert_schmidt(3), 9, 0, 200)
-        got = inv.cubic_casimir_batch(rhos)
-        grid = inv.cubic_casimir_batch(rhos.reshape(10, 20, 3, 3))
+        got = c3(rhos)
+        grid = c3(rhos.reshape(10, 20, 3, 3))
         assert np.array_equal(grid.ravel(), got)
         for i in range(200):
-            assert abs(inv.cubic_casimir_batch(rhos[i]) - got[i]) < 1e-15
+            assert abs(c3(rhos[i]) - got[i]) < 1e-15
 
     def test_bound_on_random_qutrits(self):
         rhos = state_batch(hilbert_schmidt(3), 33, 0, 100_000)
-        c3 = inv.cubic_casimir_batch(rhos)
-        assert np.abs(c3).max() <= 1 / np.sqrt(3) + 1e-9
+        assert np.abs(c3(rhos)).max() <= 1 / np.sqrt(3) + 1e-9
 
     def test_unitary_covariance(self, rng):
         basis = inv.su_basis(3)
@@ -206,15 +221,15 @@ class TestCubicCasimir:
             n0 = inv.coherence_vectors_batch(rho, basis)
             n1 = inv.coherence_vectors_batch(rot, basis)
             assert abs(np.linalg.norm(n0) - np.linalg.norm(n1)) < 1e-10
-            assert abs(inv.cubic_casimir_batch(rho) - inv.cubic_casimir_batch(rot)) < 1e-10
+            assert abs(c3(rho) - c3(rot)) < 1e-10
 
 
 class TestFanoCorrelationInvariant:
     def test_maximally_mixed(self):
-        assert abs(inv.fano_correlation_invariant_batch(np.eye(4) / 4)) < 1e-14
+        assert abs(fano(np.eye(4) / 4)) < 1e-14
 
     def test_bell(self):
-        assert abs(inv.fano_correlation_invariant_batch(bell_psi_minus()) - 3.0) < 1e-12
+        assert abs(fano(bell_psi_minus()) - 3.0) < 1e-12
 
     def test_product_state(self, rng):
         a = random_density(rng, 2)
@@ -223,40 +238,40 @@ class TestFanoCorrelationInvariant:
         ra = np.einsum("ij,aji->a", a, sig).real
         rb = np.einsum("ij,aji->a", b, sig).real
         want = np.dot(ra, ra) * np.dot(rb, rb)
-        got = inv.fano_correlation_invariant_batch(np.kron(a, b))
+        got = fano(np.kron(a, b))
         assert abs(got - want) < 1e-12
 
     def test_range_on_random_states(self):
         rhos = state_batch(hilbert_schmidt(4), 21, 0, 100_000)
-        c = inv.fano_correlation_invariant_batch(rhos)
+        c = fano(rhos)
         assert c.min() >= 0.0
         assert c.max() <= 3.0 + 1e-10
 
     def test_shape_mismatch(self):
         with pytest.raises(mc.ShapeMismatch):
-            inv.fano_correlation_invariant_batch(np.eye(6) / 6)
+            inv.fano_correlation_invariant_batch(np.eye(6) / 6, 0.0, 0.0)
 
 
 class TestRecord:
     def test_maximally_mixed_2x3(self):
         r = inv.record_batch(np.eye(6) / 6, (2, 3))
-        assert r["r_a"] == 0.0 and r["r_b"] == 0.0
-        assert abs(r["c3_b"]) < 1e-14
-        assert r["ppt"] and "c002" not in r
+        assert r["r_A"] == 0.0 and r["R_B"] == 0.0
+        assert abs(r["c3_B"]) < 1e-14
+        assert r["ppt"] and "C002" not in r
 
     def test_pure_product_2x3(self, rng):
         psi_a = np.array([1.0, 0])
         psi_b = np.array([0, 1.0, 0])
         rho = np.kron(np.outer(psi_a, psi_a), np.outer(psi_b, psi_b)).astype(complex)
         r = inv.record_batch(rho, (2, 3))
-        assert abs(r["r_a"] - 1) < 1e-12 and abs(r["r_b"] - 1) < 1e-12
+        assert abs(r["r_A"] - 1) < 1e-12 and abs(r["R_B"] - 1) < 1e-12
         assert r["ppt"]
 
     def test_bell_2x2(self):
         r = inv.record_batch(bell_psi_minus(), (2, 2))
         assert not r["ppt"]
-        assert abs(r["c002"] - 3.0) < 1e-12
-        assert "c3_b" not in r
+        assert abs(r["C002"] - 3.0) < 1e-12
+        assert "c3_B" not in r
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
     def test_batch_matches_scalar(self, dims):
@@ -268,13 +283,13 @@ class TestRecord:
             assert out["ppt"][i] == r.pop("ppt")
             for key, want in r.items():
                 assert abs(out[key][i] - want) < 1e-10, key
-            assert abs(out["c2_a"][i] - r["r_a"] ** 2) < 1e-10
+            assert abs(out["c2_A"][i] - r["r_A"] ** 2) < 1e-10
 
     def test_c2_is_radius_squared(self):
         rhos = state_batch(hilbert_schmidt(6), 3, 0, 1_000)
         out = inv.record_batch(rhos, (2, 3))
-        assert np.abs(out["c2_a"] - out["r_a"] ** 2).max() < 1e-12
-        assert np.abs(out["c2_b"] - out["r_b"] ** 2).max() < 1e-12
+        assert np.abs(out["c2_A"] - out["r_A"] ** 2).max() < 1e-12
+        assert np.abs(out["c2_B"] - out["R_B"] ** 2).max() < 1e-12
 
     def test_pt_insensitivity(self):
         # invariants of the reduced states are unchanged by partial transpose
@@ -282,5 +297,32 @@ class TestRecord:
         pt = mc.partial_transpose_batch(rhos, (2, 3))
         a = inv.record_batch(rhos, (2, 3))
         b = inv.record_batch(pt, (2, 3))
-        for key in ("r_a", "r_b", "c2_a", "c2_b", "c3_b"):
+        for key in ("r_A", "R_B", "c2_A", "c2_B", "c3_B"):
             assert np.abs(a[key] - b[key]).max() < 1e-10
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+    def test_keys_are_axis_labels(self, tmp_path, dims):
+        d = dims[0] * dims[1]
+        rec = inv.record_batch(state_batch(hilbert_schmidt(d), 4, 0, 16), dims)
+        assert list(rec) == [*inv.axis_labels(dims), "ppt"]
+        cfg = ExperimentConfig(dim_a=dims[0], dim_b=dims[1], out_dir=str(tmp_path))
+        assert list(RunState.fresh(cfg).hists) == inv.axis_labels(dims)
+
+    def test_c002_matches_pauli_sum(self, rng):
+        a, b = random_density(rng, 2), random_density(rng, 2)
+        rhos = np.concatenate([state_batch(hilbert_schmidt(4), 17, 0, 10_000),
+                               [bell_psi_minus(), np.kron(a, b), np.eye(4) / 4]])
+        got = inv.record_batch(rhos, (2, 2))["C002"]
+        want = np.array([fano_oracle(rho) for rho in rhos])
+        assert np.abs(got - want).max() < 1e-13
+
+    def test_sampling_path_builds_no_basis(self):
+        # a fresh interpreter: the su_basis cache is empty unless record_batch fills it
+        code = ("from sepprob import invariants as inv\n"
+                "from sepprob.random_states import hilbert_schmidt, state_batch\n"
+                "inv.record_batch(state_batch(hilbert_schmidt(4), 1, 0, 64), (2, 2))\n"
+                "print(inv.su_basis.cache_info().currsize)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout == "0\n"

@@ -111,11 +111,11 @@ class TestConfig:
         small_cfg(tmp_path, dim_b=2, symmetrize=True)
 
     def test_axis_labels_by_shape(self, tmp_path):
-        assert small_cfg(tmp_path).axis_labels() == \
+        assert list(small_cfg(tmp_path).axes()) == \
             ["r_A", "R_B", "c2_A", "c2_B", "c3_B"]
-        assert small_cfg(tmp_path, dim_b=2).axis_labels() == \
+        assert list(small_cfg(tmp_path, dim_b=2).axes()) == \
             ["r_A", "R_B", "c2_A", "c2_B", "C002"]
-        assert small_cfg(tmp_path, dim_a=3).axis_labels() == \
+        assert list(small_cfg(tmp_path, dim_a=3).axes()) == \
             ["r_A", "R_B", "c2_A", "c2_B", "c3_A", "c3_B"]
 
     def test_from_file_with_overrides(self, tmp_path):
@@ -133,6 +133,19 @@ class TestConfig:
         small_cfg(tmp_path, bins=rn.MAX_BINS)
         with pytest.raises(rn.ConfigError, match="bins must be in"):
             small_cfg(tmp_path, bins=rn.MAX_BINS + 1)
+
+    def test_workers_cap(self, tmp_path):
+        small_cfg(tmp_path, workers=rn.MAX_WORKERS)
+        with pytest.raises(rn.ConfigError, match="workers must be in"):
+            small_cfg(tmp_path, workers=rn.MAX_WORKERS + 1)
+
+    def test_matrix_size_cap(self, tmp_path):
+        # n*max(n, k) bounds both G (n x k) and the state (n x n)
+        cap = rn.MAX_MATRIX_ENTRIES
+        small_cfg(tmp_path, dim_b=2, measure="induced", k=cap // 4)
+        for dims, k in (((2, 2), cap // 4 + 1), ((3, 11), 1)):
+            with pytest.raises(rn.ConfigError, match="n\\*max\\(n, k\\) must be"):
+                small_cfg(tmp_path, dim_a=dims[0], dim_b=dims[1], measure="induced", k=k)
 
     def test_hash_sensitivity(self, tmp_path):
         a = small_cfg(tmp_path)
@@ -516,6 +529,20 @@ class TestCli:
                          "--seed", seed, "--out", str(tmp_path / "s")]) == 1
         assert "seed must be in [0, 2**64)" in capsys.readouterr().err
         rn.ExperimentConfig(dim_a=2, dim_b=2, seed=2 ** 64 - 1)
+
+    @pytest.mark.parametrize("args, message", [
+        (["--workers", str(rn.MAX_WORKERS + 1)], "workers must be in"),
+        (["--measure", f"induced:{rn.MAX_MATRIX_ENTRIES // 4 + 1}"], "n*max(n, k) must be")],
+        ids=["workers", "matrix_size"])
+    def test_cap_exit_code(self, tmp_path, capsys, monkeypatch, args, message):
+        def refuse(*a, **kw):
+            raise AssertionError("a refused config reached the sampler")
+        monkeypatch.setattr(rn, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(rn, "state_batch", refuse)
+        assert cli.main(["sample", "--shape", "2x2", "--samples", "10",
+                         "--out", str(tmp_path / "c"), *args]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_validation_error_exit_code(self, tmp_path):
         assert cli.main(["sample", "--shape", "nope", "--samples", "10",
