@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepprob import matrix_core as mc
+from sepprob.random_states import hilbert_schmidt, induced, state_batch
 from conftest import bell_psi_minus, loop_partial_transpose, random_density
 
 
@@ -76,6 +77,172 @@ class TestHermitianEigenvalues:
                 assert abs(w - charpoly_roots(loop_partial_transpose(M_i, m, n))[0]) < 1e-9
                 count += 1
         assert count == 1000
+
+
+def oracle_spectrum(rhos, dims):
+    """Full spectra of the partial transposes, by LAPACK (test oracle only)."""
+    return np.linalg.eigvalsh(mc.partial_transpose_batch(rhos, dims))
+
+
+def random_hermitian(rng, d, batch):
+    G = rng.standard_normal((batch, d, d)) + 1j * rng.standard_normal((batch, d, d))
+    return (G + np.conj(np.swapaxes(G, -1, -2))) / 2
+
+
+def maximally_entangled(m, n):
+    psi = np.zeros(m * n)
+    for i in range(min(m, n)):
+        psi[i * n + i] = 1.0
+    psi /= np.linalg.norm(psi)
+    return np.outer(psi, psi).astype(complex)
+
+
+class TestMinEigenvalueAgreesWithLapack:
+    """The Householder + bisection kernel against np.linalg.eigvalsh."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
+    def test_hilbert_schmidt_states(self, dims):
+        d = dims[0] * dims[1]
+        for start in range(0, 200_000, 20_000):
+            rhos = state_batch(hilbert_schmidt(d), 77, start, 20_000)
+            got = mc.min_pt_eigenvalue_batch(rhos, dims)
+            w = oracle_spectrum(rhos, dims)
+            scale = np.maximum(1.0, np.abs(w).max(axis=1))
+            assert np.all(np.abs(got - w[:, 0]) <= 1e-14 * scale)
+            assert np.array_equal(got >= -mc.PPT_TOL, w[:, 0] >= -mc.PPT_TOL)
+
+    def test_induced_states(self):
+        rhos = state_batch(induced(6, 4), 78, 0, 50_000)
+        got = mc.min_pt_eigenvalue_batch(rhos, (2, 3))
+        w = oracle_spectrum(rhos, (2, 3))
+        assert np.abs(got - w[:, 0]).max() <= 1e-14
+        assert np.array_equal(got >= -mc.PPT_TOL, w[:, 0] >= -mc.PPT_TOL)
+
+    @pytest.mark.parametrize("shift", [1e-12, -1e-12, 4e-13, -4e-13])
+    def test_werner_at_the_boundary(self, shift):
+        p = 1 / 3 + shift
+        got = mc.min_pt_eigenvalue_batch(werner(p), (2, 2))
+        assert np.sign(got) == np.sign(1 - 3 * p)
+        assert abs(got - (1 - 3 * p) / 4) < 1e-15
+
+    def test_degenerate_spectra(self, rng):
+        for m, n in ((2, 2), (2, 3), (3, 3), (2, 4)):
+            d = m * n
+            # rho^Gamma of a maximally entangled state: -1/min(m, n), repeated
+            got = mc.min_pt_eigenvalue_batch(maximally_entangled(m, n), (m, n))
+            assert abs(got + 1 / min(m, n)) < 1e-15
+            # diagonal states are their own partial transpose: exact
+            diag = rng.random((50, d))
+            diag /= diag.sum(axis=1, keepdims=True)
+            states = np.einsum("bi,ij->bij", diag, np.eye(d)) + 0j
+            assert np.array_equal(mc.min_pt_eigenvalue_batch(states, (m, n)),
+                                  diag.min(axis=1))
+            assert mc.min_pt_eigenvalue_batch(np.eye(d) / d, (m, n)) == 1 / d
+            # pure product states: rank-one rho^Gamma, eigenvalue 0 (d - 1 times)
+            a = rng.standard_normal((50, m)) + 1j * rng.standard_normal((50, m))
+            b = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+            psi = (a[:, :, None] * b[:, None, :]).reshape(50, d)
+            psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+            states = psi[:, :, None] * psi[:, None, :].conj()
+            got = mc.min_pt_eigenvalue_batch(states, (m, n))
+            assert np.abs(got).max() <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_unnormalised_scales(self, rng, scale):
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            M = random_hermitian(rng, dims[0] * dims[1], 2_000) * scale
+            got = mc.min_pt_eigenvalue_batch(M, dims)
+            w = oracle_spectrum(M, dims)
+            norm = np.abs(w).max(axis=1)
+            assert np.all(np.abs(got - w[:, 0]) <= 1e-14 * norm)
+
+
+class TestMinEigenvalueEdgeCases:
+    def test_two_by_two_closed_form(self, rng):
+        # d = 2: no Householder step, bisection on the matrix itself
+        M = random_hermitian(rng, 2, 1_000)
+        a, c, b = M[:, 0, 0].real, M[:, 1, 1].real, M[:, 1, 0]
+        want = (a + c) / 2 - np.hypot((a - c) / 2, np.abs(b))
+        for dims in ((2, 1), (1, 2)):
+            got = mc.min_pt_eigenvalue_batch(M, dims)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(M).max()
+
+    def test_one_householder_step(self, rng):
+        M = random_hermitian(rng, 3, 1_000)
+        w = oracle_spectrum(M, (1, 3))
+        got = mc.min_pt_eigenvalue_batch(M, (1, 3))
+        assert np.all(np.abs(got - w[:, 0]) <= 1e-14 * np.abs(w).max(axis=1))
+
+    def test_one_by_one(self):
+        assert mc.min_pt_eigenvalue_batch(np.array([[2.5 + 0j]]), (1, 1)) == 2.5
+
+    def test_zero_columns_make_no_reflection(self, rng):
+        # dims (d, 1): the partial transpose is the identity, so the matrix is
+        # the kernel's input as written
+        d = 6
+        tri = np.zeros((200, d, d), dtype=complex)
+        idx = np.arange(d)
+        tri[:, idx, idx] = rng.standard_normal((200, d))
+        off = rng.standard_normal((200, d - 1)) + 1j * rng.standard_normal((200, d - 1))
+        off[:50] = 0  # diagonal: every column below the diagonal is zero
+        off[50:100, 2] = 0  # block diagonal: one zero column mid-way
+        tri[:, idx[1:], idx[:-1]] = off
+        tri[:, idx[:-1], idx[1:]] = off.conj()
+        # a column whose first entry below the diagonal is zero but not the rest
+        tri[100:150, 1, 0] = tri[100:150, 0, 1] = 0
+        tri[100:150, 3, 0] = 0.5j
+        tri[100:150, 0, 3] = -0.5j
+        got = mc.min_pt_eigenvalue_batch(tri, (d, 1))
+        w = np.linalg.eigvalsh(tri)
+        assert np.all(np.abs(got - w[:, 0]) <= 1e-14 * np.abs(w).max(axis=1))
+        assert np.array_equal(got[:50], tri[:50, idx, idx].real.min(axis=1))
+
+    def test_leading_shapes(self, rng):
+        rhos = random_density(rng, 6, batch=6)
+        flat = mc.min_pt_eigenvalue_batch(rhos, (2, 3))
+        grid = mc.min_pt_eigenvalue_batch(rhos.reshape(2, 3, 6, 6), (2, 3))
+        assert grid.shape == (2, 3)
+        assert np.array_equal(grid.reshape(6), flat)
+        one = mc.min_pt_eigenvalue_batch(rhos[4], (2, 3))
+        assert np.ndim(one) == 0 and one == flat[4]
+        assert mc.min_pt_eigenvalue_batch(rhos[:0], (2, 3)).shape == (0,)
+
+    def test_real_and_read_only_input(self, rng):
+        rhos = random_density(rng, 6, batch=100)
+        want = mc.min_pt_eigenvalue_batch(rhos, (2, 3))
+        sym = rhos.real.copy()
+        sym.setflags(write=False)
+        rhos.setflags(write=False)
+        assert np.array_equal(mc.min_pt_eigenvalue_batch(rhos, (2, 3)), want)
+        w = oracle_spectrum(sym, (2, 3))
+        assert np.abs(mc.min_pt_eigenvalue_batch(sym, (2, 3)) - w[:, 0]).max() <= 1e-14
+        assert mc.min_pt_eigenvalue_batch(np.eye(4) / 4, (2, 2)) == 0.25
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        d, idx = 6, np.tril_indices(6)
+        for i, j in zip(*idx):
+            rhos = np.stack([np.eye(d) / d] * 3).astype(complex)
+            rhos[1, i, j] = bad
+            rhos[1, j, i] = np.conj(bad)
+            with pytest.raises(np.linalg.LinAlgError):
+                mc.min_pt_eigenvalue_batch(rhos, (2, 3))
+        # a ValueError, so the CLI reports it and exits 1
+        assert issubclass(np.linalg.LinAlgError, ValueError)
+
+
+class TestMinEigenvalueBatchLayout:
+    """Sample i's eigenvalue has the same bits in any batch that holds it."""
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_bit_identical_across_layouts(self, dims):
+        d = dims[0] * dims[1]
+        rhos = state_batch(hilbert_schmidt(d), 5, 0, 8192)
+        whole = mc.min_pt_eigenvalue_batch(rhos, dims)
+        assert np.array_equal(mc.min_pt_eigenvalue_batch(rhos[1001:4096], dims),
+                              whole[1001:4096])
+        alone = [mc.min_pt_eigenvalue_batch(rhos[i], dims) for i in range(3, 8192, 409)]
+        assert np.array_equal(alone, whole[3::409])
 
 
 class TestPartialTranspose:
