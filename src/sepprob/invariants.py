@@ -17,6 +17,10 @@ unit-normalized vector, giving |c3| <= 1/sqrt(3) for qutrits.
 
 Every function takes states of shape (..., d, d); a single state is a batch
 with no leading axes.
+
+axis_labels names the invariants a run records for a shape and AXIS_RANGES
+gives the [lo, hi] each is binned over; a run's histograms are built from
+these two alone.
 """
 
 from __future__ import annotations
@@ -136,6 +140,22 @@ def quadratic_casimir_batch(red: np.ndarray) -> np.ndarray:
     if d == 1:
         return np.zeros(red.shape[:-2])
     return np.clip((mc.purity_batch(red) - 1.0 / d) / (1.0 - 1.0 / d), 0.0, None)
+
+
+# [lo, hi] of every axis label, wide enough for every state:
+# - radii and quadratic Casimirs are 0 for the maximally mixed state and 1
+#   for a pure one;
+# - |c3| <= 1/sqrt(3) on a qutrit;
+# - C002 = |t|^2 = 4 tr rho^2 - 1 - c2_A - c2_B <= 3, with tr rho^2 <= 1.
+AXIS_RANGES = {
+    "r_A": (0.0, 1.0),
+    "R_B": (0.0, 1.0),
+    "c2_A": (0.0, 1.0),
+    "c2_B": (0.0, 1.0),
+    "c3_A": (-1.0, 1.0),
+    "c3_B": (-1.0, 1.0),
+    "C002": (0.0, 3.0),
+}
 
 
 def axis_labels(dims: tuple[int, int]) -> list[str]:

@@ -6,7 +6,8 @@ results are merged with commutative sums, so no result depends on worker
 count or scheduling order.  A checkpoint is a line with the sha256 hex
 digest of the bytes after it, then one JSON object: the config and its
 hash, the next sample index and all histogram counts, each count array
-packed as little-endian binary in base64 (stats.encode_counts).
+packed as little-endian binary in base64 (stats.encode_counts).  The axes
+of the histograms are not stored: the config defines them.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .invariants import axis_labels, record_batch
+from .invariants import AXIS_RANGES, axis_labels, record_batch
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
 from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
-                    fit_scale, flatness_test, ratio_with_ci, read_count)
+                    decode_histogram, encode_histogram, fit_scale, flatness_test,
+                    ratio_with_ci, read_count)
 
 # samples per vectorized sub-batch inside a worker; sub-batches end at its
 # multiples, so only the first one of a range can start mid-chunk
@@ -112,7 +114,7 @@ class ExperimentConfig:
         return MeasureSpec(n=self.n, k=self.k, label=self.measure)
 
     def axes(self) -> dict[str, Axis]:
-        return {lb: Axis.default(lb, self.bins)
+        return {lb: Axis(lb, *AXIS_RANGES[lb], self.bins)
                 for lb in axis_labels((self.dim_a, self.dim_b))}
 
     def to_dict(self) -> dict:
@@ -171,18 +173,18 @@ class RunState:
     def to_dict(self) -> dict:
         return {"next_index": self.next_index, "n_total": self.n_total,
                 "n_ppt": self.n_ppt, "elapsed": self.elapsed,
-                "histograms": {lb: h.to_dict() for lb, h in self.hists.items()},
-                "joint": self.joint.to_dict()}
+                "histograms": {lb: encode_histogram(h) for lb, h in self.hists.items()},
+                "joint": encode_histogram(self.joint)}
 
     @classmethod
     def from_dict(cls, d: dict, cfg: ExperimentConfig) -> "RunState":
-        """The state to_dict wrote; ValueError unless its histogram axes are
-        cfg's, checked before any count array is allocated."""
-        axes = {lb: asdict(ax) for lb, ax in cfg.axes().items()}
-        joint = d["joint"]
-        if ([(lb, h["axis"]) for lb, h in d["histograms"].items()] != list(axes.items())
-                or [joint["axis_x"], joint["axis_y"]] != [axes["r_A"], axes["R_B"]]):
-            raise ValueError("histogram axes differ from those of its config")
+        """The state to_dict wrote, on the histogram axes cfg defines;
+        ValueError unless its histogram labels are cfg's, in order."""
+        state = cls.fresh(cfg)
+        bodies = d["histograms"]
+        if list(bodies) != list(state.hists):
+            raise ValueError(f"histogram axes {list(bodies)} differ from those of "
+                             f"its config, {list(state.hists)}")
         next_index, n_total, n_ppt = (read_count(d, k)
                                       for k in ("next_index", "n_total", "n_ppt"))
         if not n_ppt <= n_total == next_index <= cfg.samples:
@@ -191,10 +193,12 @@ class RunState:
         elapsed = d["elapsed"]
         if type(elapsed) not in (int, float) or not (isfinite(elapsed) and elapsed >= 0):
             raise ValueError(f"elapsed must be a finite number >= 0, got {elapsed!r}")
-        return cls(next_index=next_index, n_total=n_total, n_ppt=n_ppt, elapsed=elapsed,
-                   hists={lb: HistogramPair.from_dict(h)
-                          for lb, h in d["histograms"].items()},
-                   joint=JointHistogram.from_dict(joint))
+        state.next_index, state.n_total, state.n_ppt = next_index, n_total, n_ppt
+        state.elapsed = elapsed
+        for lb, h in state.hists.items():
+            decode_histogram(h, bodies[lb])
+        decode_histogram(state.joint, d["joint"])
+        return state
 
 
 def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
@@ -260,15 +264,21 @@ def software_stack() -> dict:
         blas = f"{blas['name']} {blas['version']}"
     except (KeyError, TypeError):
         blas = "unknown"
+    # sched_getaffinity exists only on Linux
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "cpus": len(os.sched_getaffinity(0))}
+            "cpus": cpus}
 
 
 def _report_fits(cfg: ExperimentConfig, hists: dict) -> dict:
     """Radial-density model fits where a model is known for the shape."""
     fits = {}
     if cfg.dim_a == 2:
-        a, b = 2, 2 * (cfg.dim_b ** 2 - 1)
+        # rho_A = tr_B rho is an induced qubit state with ancilla dim_b*k, whose
+        # Bloch radius has density r^2 (1 - r^2)^(dim_b*k - 2) (Zyczkowski and
+        # Sommers, J. Phys. A 34, 7111 (2001))
+        a, b = 2, cfg.dim_b * cfg.k - 2
         try:
             scale, resid = fit_scale(hists["r_A"], a, b)
             fits["r_A"] = {"a": a, "b": b, "range": [0.0, 1.0],
@@ -355,21 +365,15 @@ def load_checkpoint(path, cfg: ExperimentConfig | None = None
 
 
 def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
-                   stop_after: int | None = None,
                    progress: bool = False) -> ExperimentReport:
-    """Run (or continue) the sampling experiment described by cfg.
-
-    stop_after bounds the number of samples processed in this call (used
-    for interruption tests); the checkpoint left behind is resumable.
-    """
+    """Run (or continue) the sampling experiment described by cfg, saving a
+    resumable checkpoint after every block of checkpoint_every samples."""
     if state is None:
         state = RunState.fresh(cfg)
-    limit = cfg.samples if stop_after is None else min(
-        cfg.samples, state.next_index + stop_after)
     pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     try:
-        while state.next_index < limit:
-            block = min(cfg.checkpoint_every, limit - state.next_index)
+        while state.next_index < cfg.samples:
+            block = min(cfg.checkpoint_every, cfg.samples - state.next_index)
             ranges = _split_range(state.next_index, block, cfg.workers)
             t0 = time.perf_counter()
             if pool is None:

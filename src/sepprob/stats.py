@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import base64
 import csv
-from dataclasses import asdict, dataclass
-from math import erfc, exp, isfinite, lgamma, log, prod, sqrt
+from dataclasses import dataclass
+from math import erfc, exp, isfinite, lgamma, log, sqrt
 from statistics import NormalDist
 
 import numpy as np
@@ -36,18 +36,6 @@ class InsufficientData(ValueError):
     """Too few qualifying bins for the requested analysis."""
 
 
-# default axis specs: (lo, hi, bins)
-DEFAULT_AXES = {
-    "r_A": (0.0, 1.0, 100),
-    "R_B": (0.0, 1.0, 100),
-    "c2_A": (0.0, 1.0, 100),
-    "c2_B": (0.0, 1.0, 100),
-    "c3_A": (-1.0, 1.0, 100),
-    "c3_B": (-1.0, 1.0, 100),
-    "C002": (0.0, 3.0, 100),
-}
-
-
 @dataclass(frozen=True)
 class Axis:
     label: str
@@ -60,11 +48,6 @@ class Axis:
             raise ValueError(f"axis bounds must satisfy lo < hi, got {self.lo}, {self.hi}")
         if self.bins < 1:
             raise ValueError("axis needs at least one bin")
-
-    @classmethod
-    def default(cls, label: str, bins: int | None = None) -> "Axis":
-        lo, hi, nb = DEFAULT_AXES[label]
-        return cls(label=label, lo=lo, hi=hi, bins=bins or nb)
 
     @property
     def width(self) -> float:
@@ -138,34 +121,24 @@ def read_count(d: dict, name: str) -> int:
     return value
 
 
-def read_out_counts(d: dict) -> tuple[int, int]:
-    """(out_total, out_hits) of a histogram's dict form, checked like its cells."""
-    out_total, out_hits = read_count(d, "out_total"), read_count(d, "out_hits")
-    if out_hits > out_total:
-        raise ValueError(f"out_hits {out_hits} exceeds out_total {out_total}")
-    return out_total, out_hits
-
-
-def decode_counts(d: dict, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (total, hits) arrays of the given shape from encode_counts' form.
+def decode_counts(d: dict, total: np.ndarray, hits: np.ndarray) -> None:
+    """Write the counts in encode_counts' form d into total and hits, two
+    zero-filled C-contiguous arrays of one shape.
 
     Raises ValueError unless each of the three arrays unpacks, they have
-    equal length, the indices increase strictly within [0, cells) and
+    equal length, the indices increase strictly within [0, total.size) and
     hits <= total.
     """
-    index, total, hits = (unpack_counts(d.get(k), k) for k in ("index", "total", "hits"))
-    if not len(index) == len(total) == len(hits):
+    index, cell_total, cell_hits = (unpack_counts(d.get(k), k)
+                                    for k in ("index", "total", "hits"))
+    if not len(index) == len(cell_total) == len(cell_hits):
         raise ValueError("counts 'index', 'total' and 'hits' differ in length")
-    cells = prod(shape)
-    if len(index) and (index[-1] >= cells or np.any(index[1:] <= index[:-1])):
-        raise ValueError(f"count indices must increase strictly within [0, {cells})")
-    if np.any(hits > total):
+    if len(index) and (index[-1] >= total.size or np.any(index[1:] <= index[:-1])):
+        raise ValueError(f"count indices must increase strictly within [0, {total.size})")
+    if np.any(cell_hits > cell_total):
         raise ValueError("counts must satisfy 0 <= hits <= total in every cell")
-    dense_total = np.zeros(cells, dtype=np.int64)
-    dense_hits = np.zeros(cells, dtype=np.int64)
-    dense_total[index] = total
-    dense_hits[index] = hits
-    return dense_total.reshape(shape), dense_hits.reshape(shape)
+    total.reshape(-1)[index] = cell_total
+    hits.reshape(-1)[index] = cell_hits
 
 
 @dataclass
@@ -247,19 +220,6 @@ class HistogramPair:
         except (IndexError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed axis CSV {path}: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return {"axis": asdict(self.axis),
-                **encode_counts(self.total, self.hits),
-                "out_total": self.out_total, "out_hits": self.out_hits}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HistogramPair":
-        axis = Axis(**d["axis"])
-        total, hits = decode_counts(d, (axis.bins,))
-        out_total, out_hits = read_out_counts(d)
-        return cls(axis=axis, total=total, hits=hits,
-                   out_total=out_total, out_hits=out_hits)
-
 
 @dataclass
 class JointHistogram:
@@ -335,19 +295,22 @@ class JointHistogram:
                 rows = np.stack([c[start:start + CSV_SLICE_ROWS] for c in columns], axis=1)
                 fh.write("%d,%d,%d,%d\r\n" * len(rows) % tuple(rows.ravel().tolist()))
 
-    def to_dict(self) -> dict:
-        return {"axis_x": asdict(self.axis_x), "axis_y": asdict(self.axis_y),
-                **encode_counts(self.total, self.hits),
-                "out_total": self.out_total, "out_hits": self.out_hits}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "JointHistogram":
-        ax = Axis(**d["axis_x"])
-        ay = Axis(**d["axis_y"])
-        total, hits = decode_counts(d, (ax.bins, ay.bins))
-        out_total, out_hits = read_out_counts(d)
-        return cls(axis_x=ax, axis_y=ay, total=total, hits=hits,
-                   out_total=out_total, out_hits=out_hits)
+def encode_histogram(h: HistogramPair | JointHistogram) -> dict:
+    """The counts of a histogram, without its axes: encode_counts' sparse
+    cells and the overflow tallies."""
+    return {**encode_counts(h.total, h.hits),
+            "out_total": h.out_total, "out_hits": h.out_hits}
+
+
+def decode_histogram(h: HistogramPair | JointHistogram, d: dict) -> None:
+    """Fill the empty histogram h with the counts encode_histogram wrote to
+    d; ValueError unless they fit h's axes and obey 0 <= hits <= total in
+    every cell and in the overflow tallies."""
+    decode_counts(d, h.total, h.hits)
+    h.out_total, h.out_hits = read_count(d, "out_total"), read_count(d, "out_hits")
+    if h.out_hits > h.out_total:
+        raise ValueError(f"out_hits {h.out_hits} exceeds out_total {h.out_total}")
 
 
 @dataclass(frozen=True)

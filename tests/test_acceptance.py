@@ -17,6 +17,8 @@ from sepprob.random_states import hilbert_schmidt, state_batch
 from sepprob.runner import ExperimentConfig, run_experiment
 from sepprob.stats import fit_scale, flatness_test, ratio_with_ci
 
+pytestmark = pytest.mark.acceptance
+
 
 def check(num: str, desc: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"

@@ -8,7 +8,7 @@ import pytest
 
 from sepprob import invariants as inv
 from sepprob import matrix_core as mc
-from sepprob.random_states import hilbert_schmidt, state_batch
+from sepprob.random_states import hilbert_schmidt, induced, state_batch
 from sepprob.runner import ExperimentConfig, RunState
 from conftest import (bell_psi_minus, haar_unitary, loop_partial_transpose,
                       random_density)
@@ -307,6 +307,22 @@ class TestRecord:
         assert list(rec) == [*inv.axis_labels(dims), "ppt"]
         cfg = ExperimentConfig(dim_a=dims[0], dim_b=dims[1], out_dir=str(tmp_path))
         assert list(RunState.fresh(cfg).hists) == inv.axis_labels(dims)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_values_inside_axis_ranges(self, rng, dims):
+        # HS states, pure states (ancilla 1), product states of pure factors
+        # and the maximally mixed state all land inside every axis
+        d = dims[0] * dims[1]
+        products = [np.kron(*(np.outer(v, v.conj()) for v in
+                              (haar_unitary(rng, dims[0])[0], haar_unitary(rng, dims[1])[0])))
+                    for _ in range(20)]
+        rhos = np.concatenate([state_batch(hilbert_schmidt(d), 5, 0, 2_000),
+                               state_batch(induced(d, 1), 5, 0, 2_000),
+                               products, [np.eye(d) / d]])
+        rec = inv.record_batch(rhos, dims)
+        for lb in inv.axis_labels(dims):
+            lo, hi = inv.AXIS_RANGES[lb]
+            assert lo <= rec[lb].min() and rec[lb].max() <= hi + 1e-12, lb
 
     def test_c002_matches_pauli_sum(self, rng):
         a, b = random_density(rng, 2), random_density(rng, 2)

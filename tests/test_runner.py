@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import platform
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import packed
 from sepprob import cli
 from sepprob import runner as rn
+from sepprob.stats import encode_histogram
 
 
 AXIS_CSV_HEADER = "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n"
@@ -24,7 +27,40 @@ def small_cfg(tmp_path, **kw):
 
 
 def hist_state_dict(report):
-    return {lb: h.to_dict() for lb, h in report.hists.items()}
+    return {lb: encode_histogram(h) for lb, h in report.hists.items()}
+
+
+def run_interrupted(monkeypatch, cfg, blocks: int) -> None:
+    """Run cfg on one worker, failing with an injected fault once `blocks`
+    checkpoint blocks are done, which leaves a resumable checkpoint."""
+    real = rn._range_stats
+    calls = []
+
+    def fail_after_blocks(*args):
+        calls.append(args)
+        if len(calls) > blocks:
+            raise RuntimeError("injected worker fault")
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(rn, "_range_stats", fail_after_blocks)
+        with pytest.raises(RuntimeError, match="injected"):
+            rn.run_experiment(cfg)
+
+
+def read_payload(ck) -> dict:
+    """The JSON body of a checkpoint file, after its digest line."""
+    return json.loads(ck.read_bytes().partition(b"\n")[2])
+
+
+def with_parent_axes(payload: dict, cfg) -> dict:
+    """A checkpoint body in the earlier layout, which stored every histogram's
+    axis beside its counts."""
+    axes = {lb: asdict(ax) for lb, ax in cfg.axes().items()}
+    return {**payload,
+            "histograms": {lb: {"axis": axes[lb], **h}
+                           for lb, h in payload["histograms"].items()},
+            "joint": {"axis_x": axes["r_A"], "axis_y": axes["R_B"], **payload["joint"]}}
 
 
 def write_parent_format(path, cfg, state):
@@ -177,7 +213,7 @@ class TestRunExperiment:
                 for w in (1, 2)]
         assert reps[0].n_ppt == reps[1].n_ppt
         assert hist_state_dict(reps[0]) == hist_state_dict(reps[1])
-        assert reps[0].joint.to_dict() == reps[1].joint.to_dict()
+        assert encode_histogram(reps[0].joint) == encode_histogram(reps[1].joint)
 
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(cuts=st.lists(st.integers(5_001, 5_000 + 3 * rn.SUB_BATCH + 122),
@@ -201,7 +237,17 @@ class TestRunExperiment:
         for rep in reps[1:]:
             assert rep.n_ppt == reps[0].n_ppt
             assert hist_state_dict(rep) == hist_state_dict(reps[0])
-            assert rep.joint.to_dict() == reps[0].joint.to_dict()
+            assert encode_histogram(rep.joint) == encode_histogram(reps[0].joint)
+
+    @pytest.mark.parametrize("k, b", [(2, 4), (4, 10)])
+    def test_induced_qubit_radius_fit(self, tmp_path, k, b):
+        # rho_A of an induced 2x3 state is an induced qubit state with ancilla
+        # 3k: r^2 (1 - r^2)^(3k - 2); the HS exponent 16 left residuals near 34
+        rep = rn.run_experiment(small_cfg(tmp_path, measure="induced", k=k,
+                                          samples=50_000, seed=3))
+        fit = rep.fits["r_A"]
+        assert (fit["a"], fit["b"]) == (2, b)
+        assert fit["max_rel_residual"] < 0.3
 
     def test_two_qubit_probability_sane(self, tmp_path):
         rep = rn.run_experiment(small_cfg(tmp_path, dim_b=2, samples=50_000))
@@ -210,12 +256,12 @@ class TestRunExperiment:
 
 
 class TestCheckpointResume:
-    def test_interrupted_equals_uninterrupted(self, tmp_path):
+    def test_interrupted_equals_uninterrupted(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
-        rn.run_experiment(cfg, stop_after=15_000)
+        run_interrupted(monkeypatch, cfg, blocks=2)
         ck = rn.checkpoint_path(cfg.out_dir)
         _, state = rn.load_checkpoint(ck, cfg)
-        assert state.next_index == 15_000
+        assert state.next_index == 20_000
         resumed = rn.run_experiment(cfg, state=state)
 
         cfg2 = small_cfg(tmp_path / "uninterrupted", samples=30_000,
@@ -223,7 +269,7 @@ class TestCheckpointResume:
         straight = rn.run_experiment(cfg2)
         assert resumed.n_ppt == straight.n_ppt
         assert hist_state_dict(resumed) == hist_state_dict(straight)
-        assert resumed.joint.to_dict() == straight.joint.to_dict()
+        assert encode_histogram(resumed.joint) == encode_histogram(straight.joint)
 
     def test_altered_seed_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
@@ -237,7 +283,7 @@ class TestCheckpointResume:
         with monkeypatch.context() as m:
             m.setattr(rn, "STREAM_VERSION", rn.STREAM_VERSION - 1)
             old_hash = cfg.config_hash()
-            rn.run_experiment(cfg, stop_after=2_000)
+            run_interrupted(monkeypatch, cfg, blocks=1)
         assert cfg.config_hash() != old_hash
         ck = rn.checkpoint_path(cfg.out_dir)
         with pytest.raises(rn.ConfigHashMismatch, match="another sampling stream"):
@@ -292,7 +338,7 @@ class TestCheckpointResume:
         cfg = small_cfg(tmp_path, dim_b=2, samples=100_000, bins=8)
         rn.run_experiment(cfg)
         ck = rn.checkpoint_path(cfg.out_dir)
-        payload = json.loads(ck.read_bytes().partition(b"\n")[2])
+        payload = read_payload(ck)
         state = rn.load_checkpoint(ck, cfg)[1]
         assert (state.joint.total > 0).mean() >= 0.9
 
@@ -308,22 +354,19 @@ class TestCheckpointResume:
         dense_size = 65 + len(json.dumps(dense_payload).encode())
         assert ck.stat().st_size < dense_size
 
-    @pytest.mark.parametrize("damage", ["extra_axis", "missing_axis", "joint_bins",
-                                        "huge_joint_bins"])
-    def test_axes_must_match_config(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("damage", ["extra_axis", "missing_axis", "axes_out_of_order"])
+    def test_axes_must_match_config(self, tmp_path, capsys, monkeypatch, damage):
         cfg = small_cfg(tmp_path, dim_b=2, samples=4_000, checkpoint_every=2_000)
-        rn.run_experiment(cfg, stop_after=2_000)
+        run_interrupted(monkeypatch, cfg, blocks=1)
         ck = rn.checkpoint_path(cfg.out_dir)
-        payload = json.loads(ck.read_bytes().partition(b"\n")[2])
+        payload = read_payload(ck)
         hists = payload["histograms"]
         if damage == "extra_axis":
-            hists["extra"] = {**hists["r_A"], "axis": {**hists["r_A"]["axis"],
-                                                       "label": "extra"}}
+            hists["extra"] = hists["r_A"]
         elif damage == "missing_axis":
             del hists["C002"]
         else:
-            # refused before its counts are decoded: 10**11 cells would not fit
-            payload["joint"]["axis_x"]["bins"] = 101 if damage == "joint_bins" else 10 ** 9
+            payload["histograms"] = {"R_B": hists.pop("R_B"), **hists}
         write_with_digest(ck, json.dumps(payload).encode())
         with pytest.raises(rn.CorruptCheckpoint, match="histogram axes"):
             rn.load_checkpoint(ck, cfg)
@@ -331,6 +374,47 @@ class TestCheckpointResume:
                          "--checkpoint-every", "2000", "--out", cfg.out_dir,
                          "--resume"]) == 2
         assert "histogram axes" in capsys.readouterr().err
+
+    def test_body_holds_counts_not_axes(self, tmp_path):
+        cfg = small_cfg(tmp_path, samples=2_000)
+        rn.run_experiment(cfg)
+        payload = read_payload(rn.checkpoint_path(cfg.out_dir))
+        keys = ["index", "total", "hits", "out_total", "out_hits"]
+        assert list(payload["histograms"]) == list(cfg.axes())
+        for body in [*payload["histograms"].values(), payload["joint"]]:
+            assert list(body) == keys
+
+    def test_parent_layout_resumes_to_identical_files(self, tmp_path, monkeypatch, capsys):
+        # a checkpoint that still carries its axes loads with the same counts;
+        # the stored axes are never read
+        cfg = small_cfg(tmp_path, dim_b=2, samples=6_000, checkpoint_every=2_000, bins=50)
+        args = ["sample", "--shape", "2x2", "--samples", "6000", "--seed", "7",
+                "--bins", "50", "--checkpoint-every", "2000", "--out", cfg.out_dir]
+        out = Path(cfg.out_dir)
+        assert cli.main(args) == 0
+        straight = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        run_interrupted(monkeypatch, cfg, blocks=1)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        write_with_digest(ck, json.dumps(with_parent_axes(read_payload(ck), cfg)).encode())
+        assert cli.main([*args, "--resume"]) == 0
+        assert "resuming from sample index 2000" in capsys.readouterr().out
+        resumed = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(resumed) == sorted(straight)
+        for name in straight:
+            if name.endswith(".csv"):
+                assert resumed[name] == straight[name], name
+        reports = [json.loads(files["report.json"]) for files in (straight, resumed)]
+        for report in reports:
+            del report["wall_time"], report["samples_per_sec"]
+        assert reports[0] == reports[1]
+
+        # re-exporting a finished run from the earlier layout changes no byte
+        write_with_digest(ck, json.dumps(with_parent_axes(read_payload(ck), cfg)).encode())
+        assert cli.main(["report", "--in", cfg.out_dir, "--out", str(tmp_path / "re")]) == 0
+        for name, data in resumed.items():
+            if name != "checkpoint.json":
+                assert (tmp_path / "re" / name).read_bytes() == data, name
 
     @settings(derandomize=True, deadline=None)
     @given(data=st.data())
@@ -358,19 +442,7 @@ class TestCheckpointResume:
 
     def test_failed_block_leaves_resumable_checkpoint(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
-        real = rn._range_stats
-        calls = []
-
-        def fail_on_second_block(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("injected worker fault")
-            return real(*args)
-
-        monkeypatch.setattr(rn, "_range_stats", fail_on_second_block)
-        with pytest.raises(RuntimeError, match="injected"):
-            rn.run_experiment(cfg)
-        monkeypatch.setattr(rn, "_range_stats", real)
+        run_interrupted(monkeypatch, cfg, blocks=1)
         _, state = rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir), cfg)
         assert state.next_index == 10_000
         resumed = rn.run_experiment(cfg, state=state)
@@ -379,7 +451,7 @@ class TestCheckpointResume:
                                                checkpoint_every=10_000))
         assert resumed.n_ppt == straight.n_ppt
         assert hist_state_dict(resumed) == hist_state_dict(straight)
-        assert resumed.joint.to_dict() == straight.joint.to_dict()
+        assert encode_histogram(resumed.joint) == encode_histogram(straight.joint)
 
     def test_resume_of_completed_run(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
@@ -405,10 +477,22 @@ class TestExport:
         assert report["stream_version"] == rn.STREAM_VERSION
         software = report["software"]
         assert sorted(software) == ["blas", "cpus", "numpy", "python"]
-        assert software["cpus"] == len(os.sched_getaffinity(0))
+        assert software["cpus"] == (len(os.sched_getaffinity(0))
+                                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
         assert software["python"] == platform.python_version()
         assert software["numpy"] == np.__version__
         assert isinstance(software["blas"], str) and software["blas"]
+
+    def test_cpus_without_sched_getaffinity(self, tmp_path, monkeypatch):
+        # os.sched_getaffinity exists only on Linux; elsewhere every report
+        # once ended in an AttributeError
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert rn.software_stack()["cpus"] == os.cpu_count()
+        cfg = small_cfg(tmp_path, samples=1_000)
+        assert cli.main(["sample", "--shape", "2x3", "--samples", "1000", "--seed", "7",
+                         "--out", cfg.out_dir]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["software"]["cpus"] == os.cpu_count()
 
     def test_manifest_checksums(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=2_000)
@@ -505,11 +589,11 @@ class TestCli:
             assert (tmp_path / "re" / name).read_bytes() == \
                 (tmp_path / "cli_run" / name).read_bytes(), name
 
-    def test_sample_resume_cli(self, tmp_path, capsys):
+    def test_sample_resume_cli(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "resume_run")
         cfg = rn.ExperimentConfig(dim_a=2, dim_b=2, samples=10_000, seed=3,
                                   out_dir=out, checkpoint_every=4_000)
-        rn.run_experiment(cfg, stop_after=4_000)
+        run_interrupted(monkeypatch, cfg, blocks=1)
         rc = cli.main(["sample", "--shape", "2x2", "--samples", "10000",
                        "--seed", "3", "--out", out, "--checkpoint-every",
                        "4000", "--resume"])

@@ -11,11 +11,15 @@ import pytest
 
 from conftest import packed
 from sepprob import stats as st
-from sepprob.runner import MAX_BINS
+from sepprob.runner import MAX_BINS, ExperimentConfig
+
+
+def unit_axis(label: str = "x", bins: int = 100) -> st.Axis:
+    return st.Axis(label, 0.0, 1.0, bins)
 
 
 def rand_hist(rng, axis=None, n=5000):
-    axis = axis or st.Axis.default("r_A")
+    axis = axis or unit_axis("r_A")
     h = st.HistogramPair(axis=axis)
     h.accumulate_many(rng.random(n) * 1.2 - 0.1, rng.random(n) < 0.3)
     return h
@@ -71,6 +75,13 @@ def joint_csv_oracle(j: st.JointHistogram, path) -> None:
                     w.writerow([i, k, int(j.total[i, k]), int(j.hits[i, k])])
 
 
+def decoded(d: dict, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(total, hits) of the given shape holding the counts decode_counts reads from d."""
+    total, hits = np.zeros(shape, np.int64), np.zeros(shape, np.int64)
+    st.decode_counts(d, total, hits)
+    return total, hits
+
+
 def edge_counts(rng, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """(total, hits) with empty bins, hits = 0, hits = total and totals up to top."""
     total = rng.integers(0, top, n, endpoint=True)
@@ -85,22 +96,25 @@ def edge_counts(rng, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
 
 class TestAxis:
     def test_defaults(self):
-        assert st.Axis.default("r_A") == st.Axis("r_A", 0.0, 1.0, 100)
-        assert st.Axis.default("c3_B") == st.Axis("c3_B", -1.0, 1.0, 100)
-        assert st.Axis.default("C002") == st.Axis("C002", 0.0, 3.0, 100)
+        # the axes a run bins over at the default bin count
+        axes = {**ExperimentConfig(dim_a=2, dim_b=2).axes(),
+                **ExperimentConfig(dim_a=2, dim_b=3).axes()}
+        assert axes["r_A"] == st.Axis("r_A", 0.0, 1.0, 100)
+        assert axes["c3_B"] == st.Axis("c3_B", -1.0, 1.0, 100)
+        assert axes["C002"] == st.Axis("C002", 0.0, 3.0, 100)
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
             st.Axis("x", 1.0, 0.0, 10)
 
     def test_bin_examples(self):
-        ax = st.Axis.default("r_A")
+        ax = unit_axis("r_A")
         idx, ok = ax.indices(np.array([0.0, 1.0, 0.505]))
         assert ok.all()
         assert list(idx) == [0, 99, 50]
 
     def test_out_of_range(self):
-        ax = st.Axis.default("r_A")
+        ax = unit_axis("r_A")
         _, ok = ax.indices(np.array([-0.01, 1.01, 0.5]))
         assert list(ok) == [False, False, True]
 
@@ -136,7 +150,7 @@ class TestHistogramPair:
 
     def test_axis_mismatch(self, rng):
         h = rand_hist(rng)
-        other = st.HistogramPair(axis=st.Axis.default("C002"))
+        other = st.HistogramPair(axis=st.Axis("C002", 0.0, 3.0, 100))
         with pytest.raises(st.AxisMismatch):
             h.merge(other)
 
@@ -324,7 +338,7 @@ class TestFlatnessTest:
 
 class TestFitScale:
     def test_self_fit(self):
-        ax = st.Axis.default("r_A")
+        ax = unit_axis("r_A")
         x = ax.midpoints()
         model = x ** 2 * (1 - x ** 2) ** 16
         h = st.HistogramPair(axis=ax, total=np.round(7e7 * model).astype(np.int64),
@@ -335,7 +349,7 @@ class TestFitScale:
         assert resid < 1e-6
 
     def test_scaled_with_noise(self, rng):
-        ax = st.Axis.default("r_A")
+        ax = unit_axis("r_A")
         x = ax.midpoints()
         model = x ** 2 * (1 - x ** 2) ** 16
         lam = 5e6 * model
@@ -346,7 +360,7 @@ class TestFitScale:
         assert resid < 0.05
 
     def test_restricted_range(self):
-        ax = st.Axis.default("R_B")
+        ax = unit_axis("R_B")
         x = ax.midpoints()
         model = np.where(x <= 0.5, x ** 7 * (1 - x ** 2) ** 32, 0.0)
         h = st.HistogramPair(axis=ax, total=np.round(1e9 * model).astype(np.int64),
@@ -355,7 +369,7 @@ class TestFitScale:
         assert abs(scale - 1e9) / 1e9 < 1e-4
 
     def test_insufficient(self):
-        ax = st.Axis.default("r_A")
+        ax = unit_axis("r_A")
         h = st.HistogramPair(axis=ax)
         with pytest.raises(st.InsufficientData):
             st.fit_scale(h, 2, 16)
@@ -363,8 +377,8 @@ class TestFitScale:
 
 class TestJointHistogram:
     def make(self, rng, n=20_000):
-        j = st.JointHistogram(axis_x=st.Axis.default("r_A"),
-                              axis_y=st.Axis.default("R_B"))
+        j = st.JointHistogram(axis_x=unit_axis("r_A"),
+                              axis_y=unit_axis("R_B"))
         xs = rng.random(n)
         ys = rng.random(n)
         ppt = rng.random(n) < 0.2
@@ -388,23 +402,23 @@ class TestJointHistogram:
         assert np.array_equal(sym_again.total, 2 * s.total)
 
     def test_symmetric_input_ratios_unchanged(self):
-        j = st.JointHistogram(axis_x=st.Axis.default("r_A"),
-                              axis_y=st.Axis.default("R_B"))
+        j = st.JointHistogram(axis_x=unit_axis("r_A"),
+                              axis_y=unit_axis("R_B"))
         j.total[3, 3] = 100
         j.hits[3, 3] = 25
         s = j.symmetrize()
         assert s.hits[3, 3] / s.total[3, 3] == j.hits[3, 3] / j.total[3, 3] == 0.25
 
     def test_empty_cells(self):
-        j = st.JointHistogram(axis_x=st.Axis.default("r_A"),
-                              axis_y=st.Axis.default("R_B"))
+        j = st.JointHistogram(axis_x=unit_axis("r_A"),
+                              axis_y=unit_axis("R_B"))
         assert not j.total.any() and not j.hits.any()
         with pytest.raises(st.EmptyCell):
             st.ratio_with_ci(int(j.hits[0, 0]), int(j.total[0, 0]))
 
     def test_point_mass(self):
-        j = st.JointHistogram(axis_x=st.Axis.default("r_A"),
-                              axis_y=st.Axis.default("R_B"))
+        j = st.JointHistogram(axis_x=unit_axis("r_A"),
+                              axis_y=unit_axis("R_B"))
         j.accumulate_many(np.zeros(10), np.zeros(10), np.ones(10, dtype=bool))
         assert j.total[0, 0] == 10 and j.total.sum() == 10
 
@@ -413,8 +427,8 @@ class TestJointHistogram:
         j2, *_ = self.make(rng)
         m = j1.merge(j2)
         assert m.total.sum() == j1.total.sum() + j2.total.sum()
-        other = st.JointHistogram(axis_x=st.Axis.default("C002"),
-                                  axis_y=st.Axis.default("R_B"))
+        other = st.JointHistogram(axis_x=st.Axis("C002", 0.0, 3.0, 100),
+                                  axis_y=unit_axis("R_B"))
         with pytest.raises(st.AxisMismatch):
             j1.merge(other)
 
@@ -438,8 +452,8 @@ class TestJointHistogram:
     def test_csv_across_row_slices(self, rng, tmp_path):
         # more occupied cells than one formatting slice, and counts up to 10**12
         total, hits = edge_counts(rng, 200 * 200, 10 ** 12)
-        j = st.JointHistogram(axis_x=st.Axis.default("r_A", 200),
-                              axis_y=st.Axis.default("R_B", 200),
+        j = st.JointHistogram(axis_x=unit_axis("r_A", 200),
+                              axis_y=unit_axis("R_B", 200),
                               total=total.reshape(200, 200), hits=hits.reshape(200, 200))
         assert (j.total > 0).sum() > 3 * st.CSV_SLICE_ROWS
         j.to_csv(tmp_path / "joint.csv")
@@ -454,11 +468,11 @@ class TestCountCodec:
         enc = st.encode_counts(total, hits)
         assert enc == {"index": packed([1, 2, 6, 8], 1), "total": packed([3, 2, 1, 5], 1),
                        "hits": packed([1, 2, 0, 5], 1)}
-        back_total, back_hits = st.decode_counts(enc, (3, 3))
+        back_total, back_hits = decoded(enc, (3, 3))
         assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
         empty = st.encode_counts(np.zeros(4, np.int64), np.zeros(4, np.int64))
         assert empty == {"index": "u1:", "total": "u1:", "hits": "u1:"}
-        assert not st.decode_counts(empty, (4,))[0].any()
+        assert not decoded(empty, (4,))[0].any()
 
     @pytest.mark.parametrize("top, width", [
         (0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2 ** 32 - 1, 4),
@@ -479,7 +493,7 @@ class TestCountCodec:
             total[[0, 5, 255, 256, 65535, 65536, cells - 1]] = [1, top, 7, top, 1, 2, top]
             hits = total // 2
             enc = st.encode_counts(total, hits)
-            back_total, back_hits = st.decode_counts(enc, (cells,))
+            back_total, back_hits = decoded(enc, (cells,))
             assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
             assert enc["index"].startswith("u4:")
 
@@ -514,4 +528,4 @@ class TestCountCodec:
              "non_ascii", "unknown_width", "ragged_bytes"])
     def test_malformed_counts_rejected(self, counts):
         with pytest.raises(ValueError):
-            st.decode_counts(counts, (2, 2))
+            decoded(counts, (2, 2))
