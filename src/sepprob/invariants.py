@@ -135,11 +135,13 @@ def fano_correlation_invariant_batch(rhos: np.ndarray, c2_a: np.ndarray,
 
 
 def quadratic_casimir_batch(red: np.ndarray) -> np.ndarray:
-    """Squared normalized Bloch radius (purity - 1/d)/(1 - 1/d) of states (..., d, d)."""
+    """Squared normalized Bloch radius (purity - 1/d)/(1 - 1/d) of states
+    (..., d, d), clipped to [0, 1]: rounding takes a pure state's purity to
+    as much as 1 + 1.3e-15, which would otherwise leave its axes' range."""
     d = red.shape[-1]
     if d == 1:
         return np.zeros(red.shape[:-2])
-    return np.clip((mc.purity_batch(red) - 1.0 / d) / (1.0 - 1.0 / d), 0.0, None)
+    return np.clip((mc.purity_batch(red) - 1.0 / d) / (1.0 - 1.0 / d), 0.0, 1.0)
 
 
 # [lo, hi] of every axis label, wide enough for every state:

@@ -38,10 +38,11 @@ SUB_BATCH = 2 * CHUNK_SAMPLES
 MAX_BINS = 2048
 # a pool forks all of its workers at the first submit
 MAX_WORKERS = 256
-# one sample's G is n x k and its state n x n; a sub-batch draws SUB_BATCH x
-# 2nk float64 normals, then a complex G of the same bytes, so at this cap on
-# n*max(n, k) that is 8192 * 1024 * 32 B = 268 MB, and at most as much again
-# for the states and their partial transposes
+# n <= 32 at this cap on n*max(n, k).  A sub-batch draws SUB_BATCH x n(n-1)
+# float64 normals at most, builds the complex n x min(n, k) factor L and its
+# conjugate, then the complex n x n states: under 8192 * 1024 * 56 B = 470 MB
+# at n = 32, and at most as much again for the kernel's partial transposes.
+# k adds only gamma shapes, no memory; the cap still bounds it.
 MAX_MATRIX_ENTRIES = 1024
 
 
@@ -217,6 +218,7 @@ def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
         for lb, h in part.hists.items():
             h.accumulate_many(rec[lb], ppt)
         part.joint.accumulate_many(rec["r_A"], rec["R_B"], ppt)
+        del rhos, rec, ppt  # free this sub-batch before drawing the next
     part.n_total = count
     return part
 

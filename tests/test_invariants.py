@@ -324,6 +324,18 @@ class TestRecord:
             lo, hi = inv.AXIS_RANGES[lb]
             assert lo <= rec[lb].min() and rec[lb].max() <= hi + 1e-12, lb
 
+    @pytest.mark.parametrize("dim_a", [2, 3])
+    def test_pure_reduced_states_stay_in_range(self, dim_a):
+        # with ancilla 1 every state is pure, and so is rho_A when dim_b = 1:
+        # c2 and r rounded above 1 would land in the overflow tally instead
+        # of the closed last bin
+        dims = (dim_a, 1)
+        rec = inv.record_batch(state_batch(induced(dim_a, 1), 1, 0, 20_000), dims)
+        cfg = ExperimentConfig(dim_a=dim_a, dim_b=1, measure="induced", k=1)
+        for lb, axis in cfg.axes().items():
+            assert axis.indices(rec[lb])[1].all(), lb
+        assert (rec["c2_A"] == 1.0).mean() > 0.5
+
     def test_c002_matches_pauli_sum(self, rng):
         a, b = random_density(rng, 2), random_density(rng, 2)
         rhos = np.concatenate([state_batch(hilbert_schmidt(4), 17, 0, 10_000),

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from sepprob import random_states as rs
 from sepprob.stats import chi2_sf
@@ -28,18 +30,20 @@ class TestDeterminism:
 
     def test_batch_matches_singles_across_chunk_boundary(self):
         start = rs.CHUNK_SAMPLES - 5
-        batch = rs.ginibre_batch(2, 3, 99, start, 10)
-        for i in range(10):
-            single = rs.ginibre_batch(2, 3, 99, start + i, 1)
-            assert np.array_equal(batch[i], single[0])
+        for measure in (rs.hilbert_schmidt(6), rs.induced(6, 2), rs.induced(3, 7)):
+            batch = rs.state_batch(measure, 99, start, 10)
+            for i in range(10):
+                single = rs.state_batch(measure, 99, start + i, 1)
+                assert np.array_equal(batch[i], single[0])
 
     def test_partition_independence(self):
-        # any split of an index range reproduces the same states bit-for-bit
-        m = rs.hilbert_schmidt(4)
-        whole = rs.state_batch(m, 5, 0, 10_000)
-        pieces = [rs.state_batch(m, 5, s, c)
-                  for s, c in ((0, 1_000), (1_000, 3_500), (4_500, 5_500))]
-        assert np.array_equal(np.concatenate(pieces), whole)
+        # any split of an index range reproduces the same states bit-for-bit:
+        # splits inside a chunk (1000, 4500, 4501) and across its end (4096)
+        for measure in (rs.hilbert_schmidt(4), rs.induced(6, 2), rs.induced(3, 7)):
+            whole = rs.state_batch(measure, 5, 0, 10_000)
+            pieces = [rs.state_batch(measure, 5, s, c) for s, c in
+                      ((0, 1_000), (1_000, 3_500), (4_500, 1), (4_501, 5_499))]
+            assert np.array_equal(np.concatenate(pieces), whole), measure
 
     def test_different_seeds_differ(self):
         a = rs.state_batch(rs.hilbert_schmidt(4), 1, 0, 1)
@@ -47,15 +51,40 @@ class TestDeterminism:
         assert not np.allclose(a, b)
 
 
+def substream(seed, chunk, sub):
+    return Generator(SFC64(SeedSequence([seed, chunk, sub])))
+
+
+def bartlett_oracle(n, k, seed, start, count):
+    """Each sample's factor L, (count, n, min(n, k)), rebuilt on its own from
+    the documented stream format, entry by entry."""
+    r = min(n, k)
+    m = sum(min(i, r) for i in range(n))
+    shapes = [k - i for i in range(r)]
+    out = np.zeros((count, n, r), dtype=complex)
+    for s, idx in enumerate(range(start, start + count)):
+        chunk, off = divmod(idx, rs.CHUNK_SAMPLES)
+        z = substream(seed, chunk, 0).standard_normal((off + 1) * 2 * m)[off * 2 * m:]
+        g = substream(seed, chunk, 1).standard_gamma(shapes * (off + 1))[off * r:]
+        pos = 0
+        for i in range(n):
+            for j in range(min(i, r)):
+                out[s, i, j] = complex(z[pos], z[pos + 1])
+                pos += 2
+            if i < r:
+                out[s, i, i] = np.sqrt(2.0 * g[i])
+        assert pos == 2 * m
+    return out
+
+
 def ginibre_oracle(n, k, seed, start, count):
-    """Each sample rebuilt on its own from the documented stream format."""
+    """Each sample's Ginibre matrix rebuilt on its own from normal substream 0."""
     nk = n * k
     out = []
     for i in range(start, start + count):
         chunk, off = divmod(i, rs.CHUNK_SAMPLES)
-        key = np.array([seed, chunk], dtype=np.uint64)
-        z = Generator(Philox(key=key)).standard_normal((off + 1) * 2 * nk)[off * 2 * nk:]
-        out.append((z[:nk] + 1j * z[nk:]).reshape(n, k))
+        z = substream(seed, chunk, 0).standard_normal((off + 1) * 2 * nk)[off * 2 * nk:]
+        out.append((z[0::2] + 1j * z[1::2]).reshape(n, k))
     return np.array(out)
 
 
@@ -63,17 +92,28 @@ class TestStreamFormat:
     @pytest.mark.parametrize("n,k,seed,start,count", [
         (2, 3, 99, 1000, 5),                           # mid-chunk start
         (2, 3, 99, rs.CHUNK_SAMPLES - 3, 6),           # across a chunk boundary
-        (3, 5, 7, 2 * rs.CHUNK_SAMPLES + 17, 4),       # induced, odd nk
+        (3, 5, 7, 2 * rs.CHUNK_SAMPLES + 17, 4),       # induced, k > n
         (4, 4, 2 ** 64 - 1, rs.CHUNK_SAMPLES - 1, 2),  # seed >= 2**63
+        (6, 2, 7, rs.CHUNK_SAMPLES - 2, 4),            # induced, k < n
+        (6, 6, 1, 4090, 12),                           # the fingerprinted states
     ])
     def test_matches_oracle(self, n, k, seed, start, count):
-        want = ginibre_oracle(n, k, seed, start, count)
-        assert np.array_equal(rs.ginibre_batch(n, k, seed, start, count), want)
-        M = want @ want.conj().transpose(0, 2, 1)
-        M /= np.trace(M, axis1=1, axis2=2).real[:, None, None]
+        L = bartlett_oracle(n, k, seed, start, count)
+        M = L @ L.conj().transpose(0, 2, 1)
+        M /= (np.abs(L) ** 2).sum(axis=(1, 2))[:, None, None]
         rhos = rs.state_batch(rs.MeasureSpec(n, k, "hs" if n == k else "induced"),
                               seed, start, count)
         assert np.abs(rhos - M).max() < 1e-15
+        want = ginibre_oracle(n, k, seed, start, count)
+        assert np.array_equal(rs.ginibre_batch(n, k, seed, start, count), want)
+
+    def test_fingerprint(self):
+        # the sha256 of a few states across a chunk boundary under each stream
+        # version: a change to the draw format, or to the arithmetic that
+        # builds a state from its draws, fails here unless STREAM_VERSION moves
+        digests = {3: "023c8942198b416233df5ec839efaa7fd1a83586d4f923d38ee3e124d9f5908d"}
+        rhos = rs.state_batch(rs.hilbert_schmidt(6), 1, 4090, 12)
+        assert hashlib.sha256(rhos.tobytes()).hexdigest() == digests[rs.STREAM_VERSION]
 
 
 class TestGinibreDistribution:
@@ -145,3 +185,48 @@ class TestSampleState:
         chi2 = (((ha - hb) ** 2)[keep] / (ha + hb)[keep]).sum()
         p = chi2_sf(chi2, int(keep.sum()) - 1)
         assert p > 0.01
+
+
+def power_traces(rhos):
+    """tr rho^2 and tr rho^3 of each state."""
+    sq = rhos @ rhos
+    return (np.einsum("sij,sji->s", rhos, rhos).real,
+            np.einsum("sij,sji->s", sq, rhos).real)
+
+
+class TestLaw:
+    """The states follow the induced measure: moments against their exact
+    values and against states built from full Ginibre matrices."""
+
+    # (n, k) and sample counts; (6, 170) sits at the n*max(n, k) cap
+    CASES = [(4, 4, 200_000), (6, 6, 200_000), (6, 2, 200_000), (6, 17, 200_000),
+             (9, 9, 100_000), (6, 170, 200_000)]
+
+    @pytest.mark.parametrize("n,k,count", CASES)
+    def test_mean_state(self, n, k, count):
+        rhos = rs.state_batch(rs.induced(n, k), 31, 0, count)
+        mean = rhos.mean(axis=0)
+        # a complex entry's std is the rms of |x - mean|, at least either part's
+        err = rhos.std(axis=0) / np.sqrt(count)
+        assert (np.abs(mean - np.eye(n) / n) < 4.5 * err + 1e-15).all()
+
+    @pytest.mark.parametrize("n,k,count", CASES)
+    def test_power_trace_means(self, n, k, count):
+        nk = n * k
+        want2 = (n + k) / (nk + 1)
+        want3 = (n * n + k * k + 3 * nk + 1) / ((nk + 1) * (nk + 2))
+        tr2, tr3 = power_traces(rs.state_batch(rs.induced(n, k), 32, 0, count))
+        for got, want in ((tr2, want2), (tr3, want3)):
+            assert abs(got.mean() - want) < 4 * got.std() / np.sqrt(count)
+
+    @pytest.mark.parametrize("n,k", [(6, 6), (6, 2), (3, 7)])
+    def test_entry_second_moments_match_ginibre(self, n, k):
+        # E|rho_ij|^2 entry by entry, against G G^dag / tr from ginibre_batch
+        count = 100_000
+        G = rs.ginibre_batch(n, k, 33, 0, count)
+        M = G @ G.conj().transpose(0, 2, 1)
+        M /= np.trace(M, axis1=1, axis2=2).real[:, None, None]
+        a = np.abs(rs.state_batch(rs.induced(n, k), 34, 0, count)) ** 2
+        b = np.abs(M) ** 2
+        se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / count)
+        assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4.5 * se).all()
