@@ -57,7 +57,7 @@ def _cmd_sample(args) -> int:
     ck = checkpoint_path(cfg.out_dir)
     if args.resume and ck.exists():
         _, state = load_checkpoint(ck, cfg)
-        print(f"resuming from sample index {state.next_index}")
+        print(f"resuming from sample index {state.n_total}")
     elif args.resume:
         print(f"no checkpoint in {cfg.out_dir}; starting at sample 0")
     report = run_experiment(cfg, state=state, progress=True)

@@ -31,9 +31,12 @@ def q_poly(alpha: float) -> float:
 
 
 def f_term(alpha: float) -> float:
-    """f(alpha) = P(alpha) - P(alpha+1), via log-Gamma to avoid overflow."""
+    """f(alpha) = P(alpha) - P(alpha+1), via log-Gamma; 0.0 where it underflows."""
     if not (isfinite(alpha) and alpha > 0):
         raise DomainError(f"f_term requires finite alpha > 0, got {alpha}")
+    if alpha > 1000.0:
+        # f(1000) is 2e-377, and q_poly or lgamma overflow far above it
+        return 0.0
     ln = (-(4.0 * alpha + 6.0) * _LN2
           + lgamma(3.0 * alpha + 2.5) + lgamma(5.0 * alpha + 2.0)
           - _LN3 - lgamma(alpha + 1.0) - lgamma(2.0 * alpha + 3.0)
@@ -41,27 +44,26 @@ def f_term(alpha: float) -> float:
     return q_poly(alpha) * exp(ln)
 
 
-def p_alpha_terms(alpha: float, tol: float = 1e-16,
-                  max_terms: int = 10000) -> tuple[float, int]:
+def p_alpha_terms(alpha: float, tol: float = 1e-16) -> tuple[float, int]:
     """(P(alpha), number of summed terms).
 
-    Truncation is relative: summing stops at the first term below
-    tol * partial_sum.  Terms decay super-geometrically, so this happens
-    after a few tens of terms.  Above alpha of about 805.7 the first term
-    underflows to 0.0, every later one is smaller, and the result is
-    (0.0, 1).
+    Truncation is relative: summing stops at the first term that is 0.0 or
+    below tol * partial_sum.  Terms fall geometrically, by a ratio that
+    tends to 27/64 (0.318 at alpha = 1), and are 0.0 above alpha = 1000, so
+    the sum always ends.  Above alpha of about 805.7 the first term
+    underflows to 0.0 and the result is (0.0, 1).
     """
     if not (isfinite(alpha) and alpha > 0):
         raise DomainError(f"p_alpha requires finite alpha > 0, got {alpha}")
     if not (isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
-    total = 0.0
-    for i in range(max_terms):
-        term = f_term(alpha + i)
+    total, terms = 0.0, 0
+    while True:
+        term = f_term(alpha + terms)
         total += term
-        if total == 0.0 or term < tol * total:
-            return total, i + 1
-    raise RuntimeError(f"series did not converge within {max_terms} terms")
+        terms += 1
+        if term == 0.0 or term < tol * total:
+            return total, terms
 
 
 def p_alpha(alpha: float, tol: float = 1e-16) -> float:

@@ -57,26 +57,21 @@ STREAM_VERSION = 3
 
 @dataclass(frozen=True)
 class MeasureSpec:
-    """System dimension n, ancilla dimension k, and a measure label."""
+    """The induced measure on n x n states with ancilla dimension k."""
     n: int
     k: int
-    label: str  # "hs" or "induced"
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.label == "hs" and self.k != self.n:
-            raise ValueError("Hilbert-Schmidt measure requires k == n")
-        if self.label not in ("hs", "induced"):
-            raise ValueError(f"unknown measure label {self.label!r}")
 
 
 def hilbert_schmidt(n: int) -> MeasureSpec:
-    return MeasureSpec(n=n, k=n, label="hs")
+    return MeasureSpec(n=n, k=n)
 
 
 def induced(n: int, k: int) -> MeasureSpec:
-    return MeasureSpec(n=n, k=k, label="induced")
+    return MeasureSpec(n=n, k=k)
 
 
 def _draws(master_seed: int, sub: int, start: int, count: int, per_sample: int,

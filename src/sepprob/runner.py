@@ -5,7 +5,7 @@ Workers own private histograms over disjoint contiguous index ranges and
 results are merged with commutative sums, so no result depends on worker
 count or scheduling order.  A checkpoint is a line with the sha256 hex
 digest of the bytes after it, then one JSON object: the config and its
-hash, the next sample index and all histogram counts, each count array
+hash, the sample and PPT counts and all histogram counts, each count array
 packed as little-endian binary in base64 (stats.encode_counts).  The axes
 of the histograms are not stored: the config defines them.
 """
@@ -112,7 +112,7 @@ class ExperimentConfig:
         return self.dim_a * self.dim_b
 
     def measure_spec(self) -> MeasureSpec:
-        return MeasureSpec(n=self.n, k=self.k, label=self.measure)
+        return MeasureSpec(n=self.n, k=self.k)
 
     def axes(self) -> dict[str, Axis]:
         return {lb: Axis(lb, *AXIS_RANGES[lb], self.bins)
@@ -148,8 +148,7 @@ class ExperimentConfig:
 
 @dataclass
 class RunState:
-    """Merged accumulation state; next_index is the resume point."""
-    next_index: int
+    """Merged accumulation state; n_total is the resume point."""
     n_total: int
     n_ppt: int
     elapsed: float
@@ -159,7 +158,7 @@ class RunState:
     @classmethod
     def fresh(cls, cfg: ExperimentConfig) -> "RunState":
         axes = cfg.axes()
-        return cls(next_index=0, n_total=0, n_ppt=0, elapsed=0.0,
+        return cls(n_total=0, n_ppt=0, elapsed=0.0,
                    hists={lb: HistogramPair(axis=ax) for lb, ax in axes.items()},
                    joint=JointHistogram(axis_x=axes["r_A"], axis_y=axes["R_B"]))
 
@@ -172,30 +171,28 @@ class RunState:
         self.joint = self.joint.merge(part.joint)
 
     def to_dict(self) -> dict:
-        return {"next_index": self.next_index, "n_total": self.n_total,
-                "n_ppt": self.n_ppt, "elapsed": self.elapsed,
+        return {"n_total": self.n_total, "n_ppt": self.n_ppt, "elapsed": self.elapsed,
                 "histograms": {lb: encode_histogram(h) for lb, h in self.hists.items()},
                 "joint": encode_histogram(self.joint)}
 
     @classmethod
     def from_dict(cls, d: dict, cfg: ExperimentConfig) -> "RunState":
         """The state to_dict wrote, on the histogram axes cfg defines;
-        ValueError unless its histogram labels are cfg's, in order."""
+        ValueError unless its histogram labels are cfg's, in order.  Keys
+        that to_dict does not write are ignored."""
         state = cls.fresh(cfg)
         bodies = d["histograms"]
         if list(bodies) != list(state.hists):
             raise ValueError(f"histogram axes {list(bodies)} differ from those of "
                              f"its config, {list(state.hists)}")
-        next_index, n_total, n_ppt = (read_count(d, k)
-                                      for k in ("next_index", "n_total", "n_ppt"))
-        if not n_ppt <= n_total == next_index <= cfg.samples:
-            raise ValueError(f"need n_ppt <= n_total == next_index <= samples, got "
-                             f"{n_ppt}, {n_total}, {next_index}, {cfg.samples}")
+        n_total, n_ppt = read_count(d, "n_total"), read_count(d, "n_ppt")
+        if not n_ppt <= n_total <= cfg.samples:
+            raise ValueError(f"need n_ppt <= n_total <= samples, got "
+                             f"{n_ppt}, {n_total}, {cfg.samples}")
         elapsed = d["elapsed"]
         if type(elapsed) not in (int, float) or not (isfinite(elapsed) and elapsed >= 0):
             raise ValueError(f"elapsed must be a finite number >= 0, got {elapsed!r}")
-        state.next_index, state.n_total, state.n_ppt = next_index, n_total, n_ppt
-        state.elapsed = elapsed
+        state.n_total, state.n_ppt, state.elapsed = n_total, n_ppt, elapsed
         for lb, h in state.hists.items():
             decode_histogram(h, bodies[lb])
         decode_histogram(state.joint, d["joint"])
@@ -374,9 +371,9 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
         state = RunState.fresh(cfg)
     pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
     try:
-        while state.next_index < cfg.samples:
-            block = min(cfg.checkpoint_every, cfg.samples - state.next_index)
-            ranges = _split_range(state.next_index, block, cfg.workers)
+        while state.n_total < cfg.samples:
+            block = min(cfg.checkpoint_every, cfg.samples - state.n_total)
+            ranges = _split_range(state.n_total, block, cfg.workers)
             t0 = time.perf_counter()
             if pool is None:
                 parts = [_range_stats(cfg, s, c) for s, c in ranges]
@@ -385,12 +382,11 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
                 parts = [f.result() for f in futures]
             for part in parts:
                 state.merge(part)
-            state.next_index += block
             state.elapsed += time.perf_counter() - t0
             save_checkpoint(cfg, state)
             if progress:
                 rate = state.n_total / max(state.elapsed, 1e-9)
-                print(f"  {state.next_index}/{cfg.samples} samples, "
+                print(f"  {state.n_total}/{cfg.samples} samples, "
                       f"{state.n_ppt} PPT, {rate:,.0f} samples/s", flush=True)
     finally:
         if pool is not None:

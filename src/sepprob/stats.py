@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import base64
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import erfc, exp, isfinite, lgamma, log, sqrt
 from statistics import NormalDist
 
@@ -141,6 +141,24 @@ def decode_counts(d: dict, total: np.ndarray, hits: np.ndarray) -> None:
     hits.reshape(-1)[index] = cell_hits
 
 
+def _count(h, flat: np.ndarray, ok: np.ndarray, ppt: np.ndarray) -> None:
+    """Add a batch to histogram h from each sample's flat cell index (valid
+    where ok), in-range mask and PPT flag; the rest go to the overflow tallies."""
+    ppt = np.asarray(ppt, dtype=bool)
+    hit = ok & ppt
+    h.total += np.bincount(flat[ok], minlength=h.total.size).reshape(h.total.shape)
+    h.hits += np.bincount(flat[hit], minlength=h.hits.size).reshape(h.hits.shape)
+    h.out_total += ok.size - int(np.count_nonzero(ok))
+    h.out_hits += int(np.count_nonzero(ppt)) - int(np.count_nonzero(hit))
+
+
+def _merged(h, other):
+    """A copy of h, on h's axes, holding the counts of h and other summed."""
+    return replace(h, total=h.total + other.total, hits=h.hits + other.hits,
+                   out_total=h.out_total + other.out_total,
+                   out_hits=h.out_hits + other.out_hits)
+
+
 @dataclass
 class HistogramPair:
     """Bin counts of (all, PPT-positive) samples over one invariant axis."""
@@ -157,21 +175,12 @@ class HistogramPair:
             self.hits = np.zeros(self.axis.bins, dtype=np.int64)
 
     def accumulate_many(self, values: np.ndarray, ppt: np.ndarray) -> None:
-        idx, ok = self.axis.indices(values)
-        ppt = np.asarray(ppt, dtype=bool)
-        self.total += np.bincount(idx[ok], minlength=self.axis.bins)
-        self.hits += np.bincount(idx[ok & ppt], minlength=self.axis.bins)
-        self.out_total += int((~ok).sum())
-        self.out_hits += int((~ok & ppt).sum())
+        _count(self, *self.axis.indices(values), ppt)
 
     def merge(self, other: "HistogramPair") -> "HistogramPair":
         if self.axis != other.axis:
             raise AxisMismatch(f"cannot merge {self.axis} with {other.axis}")
-        return HistogramPair(axis=self.axis,
-                             total=self.total + other.total,
-                             hits=self.hits + other.hits,
-                             out_total=self.out_total + other.out_total,
-                             out_hits=self.out_hits + other.out_hits)
+        return _merged(self, other)
 
     def to_csv(self, path) -> None:
         edges = [f"{e:.10g}" for e in self.axis.edges().tolist()]
@@ -241,24 +250,12 @@ class JointHistogram:
     def accumulate_many(self, xs: np.ndarray, ys: np.ndarray, ppt: np.ndarray) -> None:
         ix, okx = self.axis_x.indices(xs)
         iy, oky = self.axis_y.indices(ys)
-        ok = okx & oky
-        ppt = np.asarray(ppt, dtype=bool)
-        flat = ix[ok] * self.axis_y.bins + iy[ok]
-        size = self.axis_x.bins * self.axis_y.bins
-        self.total += np.bincount(flat, minlength=size).reshape(self.total.shape)
-        flat_hit = ix[ok & ppt] * self.axis_y.bins + iy[ok & ppt]
-        self.hits += np.bincount(flat_hit, minlength=size).reshape(self.hits.shape)
-        self.out_total += int((~ok).sum())
-        self.out_hits += int((~ok & ppt).sum())
+        _count(self, ix * self.axis_y.bins + iy, okx & oky, ppt)
 
     def merge(self, other: "JointHistogram") -> "JointHistogram":
         if self.axis_x != other.axis_x or self.axis_y != other.axis_y:
             raise AxisMismatch("cannot merge joint histograms with different axes")
-        return JointHistogram(axis_x=self.axis_x, axis_y=self.axis_y,
-                              total=self.total + other.total,
-                              hits=self.hits + other.hits,
-                              out_total=self.out_total + other.out_total,
-                              out_hits=self.out_hits + other.out_hits)
+        return _merged(self, other)
 
     def symmetrize(self) -> "JointHistogram":
         """j + j^T on both layers; axes must have identical bounds and bins."""

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -70,6 +71,22 @@ class TestPAlpha:
     def test_term_count_is_small(self):
         _, terms = formula.p_alpha_terms(1.0)
         assert terms < 100
+        assert [formula.p_alpha_terms(a)[1] for a in (1.0, 0.5, 2.0)] == [42, 41, 42]
+
+    @pytest.mark.parametrize("alpha, tol", [(100.0, 1e-300), (805.0, 1e-30)])
+    def test_stops_where_tolerance_underflows(self, alpha, tol):
+        # tol * total is 0.0 here, so summing ends at the first term that is 0.0
+        value, terms = formula.p_alpha_terms(alpha, tol)
+        assert 0.0 < value < 1e-30 and math.isfinite(value)
+        assert formula.f_term(alpha + terms - 1) == 0.0
+        assert formula.f_term(alpha + terms - 2) > 0.0
+
+    @pytest.mark.parametrize("alpha", [1e200, 1e308, sys.float_info.max])
+    def test_huge_alpha_gives_zero(self, alpha):
+        # q_poly is inf above about 4e60 (inf * 0 was nan) and lgamma raised
+        # OverflowError above about 5e304
+        assert formula.f_term(alpha) == 0.0
+        assert formula.p_alpha_terms(alpha) == (0.0, 1)
 
     def test_domain_error(self):
         with pytest.raises(formula.DomainError):

@@ -9,12 +9,8 @@ from sepprob.stats import chi2_sf
 
 
 class TestMeasureSpec:
-    def test_hs_requires_k_equal_n(self):
-        with pytest.raises(ValueError):
-            rs.MeasureSpec(n=6, k=9, label="hs")
-
     def test_constructors(self):
-        assert rs.hilbert_schmidt(6) == rs.MeasureSpec(6, 6, "hs")
+        assert rs.hilbert_schmidt(6) == rs.MeasureSpec(6, 6)
         assert rs.induced(6, 9).k == 9
 
     def test_positive_dims(self):
@@ -101,8 +97,7 @@ class TestStreamFormat:
         L = bartlett_oracle(n, k, seed, start, count)
         M = L @ L.conj().transpose(0, 2, 1)
         M /= (np.abs(L) ** 2).sum(axis=(1, 2))[:, None, None]
-        rhos = rs.state_batch(rs.MeasureSpec(n, k, "hs" if n == k else "induced"),
-                              seed, start, count)
+        rhos = rs.state_batch(rs.MeasureSpec(n, k), seed, start, count)
         assert np.abs(rhos - M).max() < 1e-15
         want = ginibre_oracle(n, k, seed, start, count)
         assert np.array_equal(rs.ginibre_batch(n, k, seed, start, count), want)

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import math
 import os
 import platform
 from dataclasses import asdict
@@ -63,6 +64,13 @@ def with_parent_axes(payload: dict, cfg) -> dict:
             "joint": {"axis_x": axes["r_A"], "axis_y": axes["R_B"], **payload["joint"]}}
 
 
+def with_next_index(payload: dict) -> dict:
+    """A checkpoint body as written before n_total became the resume point:
+    the same keys plus next_index, equal to n_total, after config_hash."""
+    head = {k: payload[k] for k in ("config", "config_hash")}
+    return {**head, "next_index": payload["n_total"], **payload}
+
+
 def write_parent_format(path, cfg, state):
     """A checkpoint as the earlier format wrote it: one JSON object whose
     "checksum" key is the sha256 of the sorted-key dump of the rest."""
@@ -87,7 +95,7 @@ def unpacked(text: str) -> list[int]:
 @st.composite
 def run_states(draw, out_dir):
     """A valid config writing to out_dir and a state with arbitrary counts
-    that obey 0 <= hits <= total and n_ppt <= n_total == next_index <= samples."""
+    that obey 0 <= hits <= total and n_ppt <= n_total <= samples."""
     dim_a, dim_b = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]))
     induced = draw(st.booleans())
     cfg = rn.ExperimentConfig(
@@ -104,7 +112,7 @@ def run_states(draw, out_dir):
         h.hits[...] = rng.integers(0, h.total + 1)
         h.out_total = draw(st.integers(0, 2 ** 62))
         h.out_hits = draw(st.integers(0, h.out_total))
-    state.next_index = state.n_total = draw(st.integers(0, cfg.samples))
+    state.n_total = draw(st.integers(0, cfg.samples))
     state.n_ppt = draw(st.integers(0, state.n_total))
     state.elapsed = draw(st.floats(0.0, 1e9))
     return cfg, state
@@ -261,7 +269,7 @@ class TestCheckpointResume:
         run_interrupted(monkeypatch, cfg, blocks=2)
         ck = rn.checkpoint_path(cfg.out_dir)
         _, state = rn.load_checkpoint(ck, cfg)
-        assert state.next_index == 20_000
+        assert state.n_total == 20_000
         resumed = rn.run_experiment(cfg, state=state)
 
         cfg2 = small_cfg(tmp_path / "uninterrupted", samples=30_000,
@@ -385,8 +393,8 @@ class TestCheckpointResume:
             assert list(body) == keys
 
     def test_parent_layout_resumes_to_identical_files(self, tmp_path, monkeypatch, capsys):
-        # a checkpoint that still carries its axes loads with the same counts;
-        # the stored axes are never read
+        # a body that also holds each histogram's axis loads with the same
+        # counts: keys a histogram body does not use are ignored
         cfg = small_cfg(tmp_path, dim_b=2, samples=6_000, checkpoint_every=2_000, bins=50)
         args = ["sample", "--shape", "2x2", "--samples", "6000", "--seed", "7",
                 "--bins", "50", "--checkpoint-every", "2000", "--out", cfg.out_dir]
@@ -411,6 +419,39 @@ class TestCheckpointResume:
 
         # re-exporting a finished run from the earlier layout changes no byte
         write_with_digest(ck, json.dumps(with_parent_axes(read_payload(ck), cfg)).encode())
+        assert cli.main(["report", "--in", cfg.out_dir, "--out", str(tmp_path / "re")]) == 0
+        for name, data in resumed.items():
+            if name != "checkpoint.json":
+                assert (tmp_path / "re" / name).read_bytes() == data, name
+
+    def test_next_index_body_resumes_to_identical_files(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # bodies written before n_total became the resume point also hold
+        # next_index; it is never read
+        cfg = small_cfg(tmp_path, dim_b=2, samples=6_000, checkpoint_every=2_000, bins=50)
+        args = ["sample", "--shape", "2x2", "--samples", "6000", "--seed", "7",
+                "--bins", "50", "--checkpoint-every", "2000", "--out", cfg.out_dir]
+        out = Path(cfg.out_dir)
+        assert cli.main(args) == 0
+        straight = {p.name: p.read_bytes() for p in out.iterdir()}
+        ck = rn.checkpoint_path(cfg.out_dir)
+        assert "next_index" not in read_payload(ck)
+
+        run_interrupted(monkeypatch, cfg, blocks=1)
+        write_with_digest(ck, json.dumps(with_next_index(read_payload(ck))).encode())
+        assert cli.main([*args, "--resume"]) == 0
+        assert "resuming from sample index 2000" in capsys.readouterr().out
+        resumed = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(resumed) == sorted(straight)
+        for name in straight:
+            if name.endswith(".csv"):
+                assert resumed[name] == straight[name], name
+        reports = [json.loads(files["report.json"]) for files in (straight, resumed)]
+        for report in reports:
+            del report["wall_time"], report["samples_per_sec"]
+        assert reports[0] == reports[1]
+
+        write_with_digest(ck, json.dumps(with_next_index(read_payload(ck))).encode())
         assert cli.main(["report", "--in", cfg.out_dir, "--out", str(tmp_path / "re")]) == 0
         for name, data in resumed.items():
             if name != "checkpoint.json":
@@ -444,7 +485,7 @@ class TestCheckpointResume:
         cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
         run_interrupted(monkeypatch, cfg, blocks=1)
         _, state = rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir), cfg)
-        assert state.next_index == 10_000
+        assert state.n_total == 10_000
         resumed = rn.run_experiment(cfg, state=state)
 
         straight = rn.run_experiment(small_cfg(tmp_path / "straight", samples=30_000,
@@ -530,6 +571,18 @@ class TestCli:
         assert cli.main(["formula", "--alpha", "1000"]) == 0
         assert "P(1000) = 0  (1 terms)  (underflows the double range)" in \
             capsys.readouterr().out
+
+    @pytest.mark.parametrize("args, underflows", [
+        (["--alpha", "805", "--tol", "1e-30"], False), (["--alpha", "1e200"], True),
+        (["--alpha", "1e308"], True), (["--alpha", "1.7976931348623157e308"], True)],
+        ids=["tol_underflows", "q_poly_overflows", "lgamma_overflows", "float_max"])
+    def test_formula_extreme_input(self, capsys, args, underflows):
+        # each of these once ended in a traceback
+        assert cli.main(["formula", *args]) == 0
+        out = capsys.readouterr().out
+        value = float(out.split(" = ")[1].split()[0])
+        assert math.isfinite(value) and (value == 0.0) == underflows
+        assert out.endswith("  (underflows the double range)\n") == underflows
 
     def test_formula_bad_alpha(self, capsys):
         assert cli.main(["formula", "--alpha", "-2"]) == 1
@@ -634,6 +687,34 @@ class TestCli:
         assert cli.main(["sample", "--samples", "10",
                         "--out", str(tmp_path / "y")]) == 1
 
+    @pytest.mark.parametrize("args, message", [
+        (["--shape", "2x2", "--measure", "induced:x"], "measure must be 'hs' or 'induced:K'"),
+        (["--shape", "2x2", "--measure", "foo"], "measure must be 'hs' or 'induced:K'"),
+        (["--shape", "1x1"], "invalid shape 1x1"),
+        (["--shape", "2x2", "--checkpoint-every", "0"], "checkpoint_every must be >= 1")],
+        ids=["induced_not_int", "unknown_measure", "shape_1x1", "checkpoint_every_0"])
+    def test_sample_refusal_exit_code(self, tmp_path, capsys, args, message):
+        assert cli.main(["sample", "--samples", "10", "--out", str(tmp_path / "r"),
+                         *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "r").exists()
+
+    def test_analyze_without_axis_csvs_exit_code(self, tmp_path, capsys):
+        (tmp_path / "joint_r_R.csv").write_text("xbin,ybin,total,hits\n")
+        assert cli.main(["analyze", "--in", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: no axis CSV files found in {tmp_path}\n"
+
+    def test_analyze_bad_fit_exit_code(self, tmp_path, capsys):
+        # 3000 samples leave every bin below the default 1000 needed for flatness
+        cfg = small_cfg(tmp_path, samples=3_000)
+        rn.export(rn.run_experiment(cfg))
+        assert cli.main(["analyze", "--in", cfg.out_dir, "--fit", "1,2,3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --fit expects a,b,lo,hi\n"
+        assert "r_A.csv: flatness test skipped (need at least 2 bins with " \
+            "total >= min_total)" in captured.out
+
     def test_io_error_exit_code(self, tmp_path):
         assert cli.main(["report", "--in", str(tmp_path / "missing")]) == 2
 
@@ -642,7 +723,7 @@ class TestCli:
                                         "no_joint", "dense_joint", "unequal_lengths",
                                         "index_past_cells", "repeated_index",
                                         "decreasing_index", "string_n_ppt",
-                                        "bool_next_index", "n_ppt_above_total",
+                                        "bool_n_total", "n_ppt_above_total",
                                         "negative_elapsed", "negative_total",
                                         "hits_above_total", "out_hits_above_total",
                                         "list_joint"])
@@ -679,7 +760,7 @@ class TestCli:
                   "decreasing_index": with_joint(
                       index=packed([index[1], index[0], *index[2:]])),
                   "string_n_ppt": with_top(n_ppt=str(payload["n_ppt"])),
-                  "bool_next_index": with_top(next_index=True, n_total=1, n_ppt=0),
+                  "bool_n_total": with_top(n_total=True, n_ppt=0),
                   "n_ppt_above_total": with_top(n_ppt=payload["n_total"] + 1),
                   "negative_elapsed": with_top(elapsed=-1.0),
                   # a u8 value past the int64 range, -1 if read as signed
