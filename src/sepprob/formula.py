@@ -37,11 +37,14 @@ def f_term(alpha: float) -> float:
     if alpha > 1000.0:
         # f(1000) is 2e-377, and q_poly or lgamma overflow far above it
         return 0.0
-    ln = (-(4.0 * alpha + 6.0) * _LN2
+    # log q joins the sum before exp: q exp(ln) would round exp(ln) to a
+    # subnormal from alpha of about 763 and lose its bits before q (~5e19)
+    # scales it back up
+    ln = (log(q_poly(alpha)) - (4.0 * alpha + 6.0) * _LN2
           + lgamma(3.0 * alpha + 2.5) + lgamma(5.0 * alpha + 2.0)
           - _LN3 - lgamma(alpha + 1.0) - lgamma(2.0 * alpha + 3.0)
           - lgamma(5.0 * alpha + 6.5))
-    return q_poly(alpha) * exp(ln)
+    return exp(ln)
 
 
 def p_alpha_terms(alpha: float, tol: float = 1e-16) -> tuple[float, int]:
@@ -50,7 +53,7 @@ def p_alpha_terms(alpha: float, tol: float = 1e-16) -> tuple[float, int]:
     Truncation is relative: summing stops at the first term that is 0.0 or
     below tol * partial_sum.  Terms fall geometrically, by a ratio that
     tends to 27/64 (0.318 at alpha = 1), and are 0.0 above alpha = 1000, so
-    the sum always ends.  Above alpha of about 805.7 the first term
+    the sum always ends.  Above alpha of about 858.5 the first term
     underflows to 0.0 and the result is (0.0, 1).
     """
     if not (isfinite(alpha) and alpha > 0):

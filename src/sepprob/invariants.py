@@ -120,7 +120,21 @@ def cubic_casimir_batch(rhos: np.ndarray, c2: np.ndarray) -> np.ndarray:
     tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc d_abc n_a n_b n_c."""
     d = rhos.shape[-1]
     n2 = c2 * radius_scale(d) ** 2
-    tr3 = np.einsum("...ij,...jk,...ki->...", rhos, rhos, rhos).real
+    # tr rho^3 = sum_ij (rho^2)_ij rho_ji in index order, one real multiply
+    # or add per operation, so a sample's result has the same bits in any
+    # batch
+    re, im = mc.entry_planes(rhos)
+    tr3 = np.zeros(rhos.shape[:-2])
+    for j in range(d):
+        sq_re, sq_im = np.zeros(re.shape[1:]), np.zeros(re.shape[1:])  # (rho^2)_:j
+        for k in range(d):
+            sq_re += re[:, k] * re[k, j]
+            sq_re -= im[:, k] * im[k, j]
+            sq_im += re[:, k] * im[k, j]
+            sq_im += im[:, k] * re[k, j]
+        for i in range(d):
+            tr3 += sq_re[i] * re[j, i]
+            tr3 -= sq_im[i] * im[j, i]
     return 4.0 * (tr3 - 1.0 / d ** 2 - 1.5 * n2 / d) / radius_scale(d) ** 3
 
 

@@ -4,6 +4,12 @@ Partial trace, partial transpose, purity and the positive-partial-transpose
 (PPT) test.  Each kernel works on arrays of shape (..., d, d); a single
 matrix is a batch with no leading axes.
 
+partial_trace_batch and purity_batch sum in a fixed index order with one
+IEEE operation per step, like the PPT kernel below, so a sample's result
+has the same bits whatever batch or memory layout it comes in.  On the
+batch-last states of random_states.state_batch every entry they read is a
+contiguous row over the batch.
+
 Index convention: the row/column index of the composite space is
 ``i_A * dim_b + i_B`` (subsystem A is the slow index).  All bipartite
 operations below use this convention.
@@ -76,19 +82,41 @@ partial_transpose = partial_transpose_batch
 
 def partial_trace_batch(rhos: np.ndarray, dims: tuple[int, int],
                         keep: str = "A") -> np.ndarray:
-    """Reduced matrices on the kept subsystem, shape (..., d_keep, d_keep)."""
+    """Reduced matrices on the kept subsystem, shape (..., d_keep, d_keep),
+    in the memory order of rhos.  The traced-out blocks are added in index
+    order, one complex add per entry, so a sample's result has the same
+    bits in any batch."""
     m, n = _check_bipartition(rhos.shape[-1], dims)
     T = rhos.reshape(rhos.shape[:-2] + (m, n, m, n))
     if keep == "A":
-        return np.einsum("...ijkj->...ik", T)
-    if keep == "B":
-        return np.einsum("...ijil->...jl", T)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+        blocks = [T[..., :, j, :, j] for j in range(n)]
+    elif keep == "B":
+        blocks = [T[..., i, :, i, :] for i in range(m)]
+    else:
+        raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
+    out = blocks[0].copy(order="K")
+    for block in blocks[1:]:
+        out += block
+    return out
+
+
+def entry_planes(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of matrices (..., d, d) as views of shape
+    (d, d, ...): entry [i, j] of each is the batch of rho_ij."""
+    return tuple(np.moveaxis(p, (-2, -1), (0, 1)) for p in (rhos.real, rhos.imag))
 
 
 def purity_batch(rhos: np.ndarray) -> np.ndarray:
-    """tr(rho^2) of matrices of shape (..., d, d)."""
-    return np.einsum("...ij,...ji->...", rhos, rhos).real
+    """tr(rho^2) of matrices of shape (..., d, d): the sum over i, j in order
+    of Re(rho_ij rho_ji), one real multiply or add per operation, so a
+    sample's result has the same bits in any batch."""
+    re, im = entry_planes(rhos)
+    acc = np.zeros(rhos.shape[:-2])
+    for i in range(rhos.shape[-1]):
+        for j in range(rhos.shape[-1]):
+            acc += re[i, j] * re[j, i]
+            acc -= im[i, j] * im[j, i]
+    return acc[()]
 
 
 # The Gershgorin bracket is at most 2||T|| wide, so after 53 halvings its
@@ -98,7 +126,8 @@ _BISECTIONS = 53
 
 def _pt_planes(rhos: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of the partial transposes over B, each of
-    shape (d, d, B) with the B matrices of the flattened batch last."""
+    shape (d, d, B) with the B matrices of the flattened batch last; on
+    batch-last input the copy reads contiguous rows."""
     d, batch = rhos.shape[-1], math.prod(rhos.shape[:-2])
     pt = np.moveaxis(_pt_view(rhos.reshape((batch, d, d)), dims), 0, -1)
     re, im = np.empty(pt.shape), np.empty(pt.shape)

@@ -16,6 +16,15 @@ n x r with r = min(n, k), and its entries are independent:
 rho = L L^dag / sum |L_ij|^2.  A sample draws m = sum_i min(i, r) complex
 normals and r gammas, against nk complex normals for G.
 
+state_batch builds rho from the real and imaginary planes of the scaled
+factor, each (n, r, count) with the batch last, by plain multiplies and
+adds in a fixed order, and makes no BLAS call.  It returns the (count, n, n)
+view of an (n, n, count) complex array, so every entry of rho is a
+contiguous row over the batch, which is what the kernels downstream read.
+Each entry above the diagonal is written as the exact conjugate of the one
+below and the diagonal is real: every state is exactly Hermitian, and has
+the same bits in any batch.
+
 Reproducibility: samples are grouped into fixed chunks of CHUNK_SAMPLES.
 Chunk c of master seed s has two substreams,
 Generator(SFC64(SeedSequence([s, c, sub]))): sub 0 holds the normals
@@ -34,9 +43,10 @@ Both the ziggurat and the gamma sampler consume a variable number of raw
 draws, so a sample's draws can only be reached by generating its chunk of
 each substream from the start: a call that begins mid-chunk regenerates
 that chunk's prefix on both, up to one chunk of draws.  STREAM_VERSION
-names this format (version 1 was Box-Muller on keyed uniforms, version 2
-Ginibre matrices on one Philox stream per chunk); it is part of every
-run's config hash.
+names this format and the arithmetic that turns draws into rho (version 1
+was Box-Muller on keyed uniforms, version 2 Ginibre matrices on one Philox
+stream per chunk, version 3 these draws with rho from a batched matmul of
+L by L^dag); it is part of every run's config hash.
 
 ginibre_batch draws full Ginibre matrices from substream 0 of the same
 chunks (2nk normals per sample, real and imaginary parts interleaved,
@@ -52,7 +62,7 @@ from numpy.random import SFC64, Generator, SeedSequence
 
 CHUNK_SAMPLES = 4096
 # the draw format above; a change to it bumps this, never a setting
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -105,11 +115,21 @@ def ginibre_batch(n: int, k: int, master_seed: int, start: int,
 
 def state_batch(measure: MeasureSpec, master_seed: int, start: int,
                 count: int) -> np.ndarray:
-    """Density matrices for sample indices [start, start+count), shape (count, n, n)."""
+    """Density matrices for sample indices [start, start+count), shape
+    (count, n, n): the view of an (n, n, count) array, whose every entry is
+    one contiguous row over the batch.
+
+    rho_ij = sum_{k <= min(i, j)} Lh_ik conj(Lh_jk) for i >= j, summed over k
+    in order by plain multiplies and adds on the real and imaginary planes
+    of Lh (no BLAS call), so a state has the same bits in any batch; the
+    entry above the diagonal is the exact conjugate and the diagonal is
+    real, so every state is exactly Hermitian.
+    """
     n, k = measure.n, measure.k
     r = min(n, k)
     widths = [min(i, r) for i in range(n)]
-    z = _normals(master_seed, start, count, 2 * sum(widths))
+    m = sum(widths)
+    z = _normals(master_seed, start, count, 2 * m)
     shapes = np.arange(k, k - r, -1, dtype=float)
     g = _draws(master_seed, 1, start, count, r,
                lambda rng, a: rng.standard_gamma(shapes, out=a))
@@ -119,13 +139,36 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     # k >= 2; for k = 1 the exponential ziggurat gives 0 with p ~ 2^-53, and
     # the sum is 0 only if the sample's 2(n-1) normals are all 0 as well
     s = 1.0 / np.sqrt(np.einsum("si,si->s", z, z) + g.sum(axis=1))
-    z *= s[:, None]
-    zc = z.view(complex)
-    L = np.zeros((count, n, r), dtype=complex)
-    idx = np.arange(r)
-    L.real[:, idx, idx] = np.sqrt(g) * s[:, None]
+    # the real and imaginary planes of Lh, (2, n, r, count); the loop below
+    # reads no entry above the diagonal
+    planes = np.empty((2, n, r, count))
+    parts = z.reshape(count, m, 2).transpose(2, 1, 0)  # (2, m, count) view
     pos = 0
     for i, w in enumerate(widths):
-        L[:, i, :w] = zc[:, pos:pos + w]
+        np.multiply(parts[:, pos:pos + w], s, out=planes[:, i, :w])
         pos += w
-    return L @ L.conj().transpose(0, 2, 1)
+    del z, parts
+    lr, li = planes
+    diag = np.arange(r)
+    lr[diag, diag] = np.sqrt(g.T) * s
+    li[diag, diag] = 0.0
+    rho = np.empty((n, n, count), dtype=complex)
+    tmp = np.empty((n, count))
+    for j in range(n):
+        # column j on and below the diagonal
+        acc_re, acc_im = np.zeros((n - j, count)), np.zeros((n - j, count))
+        t = tmp[:n - j]
+        for kk in range(min(j + 1, r)):
+            a_re, a_im = lr[j:, kk], li[j:, kk]
+            b_re, b_im = lr[j, kk], li[j, kk]
+            acc_re += np.multiply(a_re, b_re, out=t)
+            acc_re += np.multiply(a_im, b_im, out=t)
+            acc_im += np.multiply(a_im, b_re, out=t)
+            acc_im -= np.multiply(a_re, b_im, out=t)
+        # the conjugate row first: the column then writes the diagonal's
+        # imaginary part as the +0 that acc_im holds there
+        rho.real[j, j:] = acc_re
+        rho.imag[j, j:] = -acc_im
+        rho.real[j:, j] = acc_re
+        rho.imag[j:, j] = acc_im
+    return rho.transpose(2, 0, 1)

@@ -39,10 +39,11 @@ MAX_BINS = 2048
 # a pool forks all of its workers at the first submit
 MAX_WORKERS = 256
 # n <= 32 at this cap on n*max(n, k).  A sub-batch draws SUB_BATCH x n(n-1)
-# float64 normals at most, builds the complex n x min(n, k) factor L and its
-# conjugate, then the complex n x n states: under 8192 * 1024 * 56 B = 470 MB
-# at n = 32, and at most as much again for the kernel's partial transposes.
-# k adds only gamma shapes, no memory; the cap still bounds it.
+# float64 normals at most (8 B per matrix entry), copies them into the two
+# float n x min(n, k) planes of L (16 B) and frees them, then writes the
+# complex n x n states (16 B): under 8192 * 1024 * 32 B = 268 MB at n = 32,
+# and at most as much again for the kernel's partial transposes.  k adds
+# only gamma shapes, no memory; the cap still bounds it.
 MAX_MATRIX_ENTRIES = 1024
 
 

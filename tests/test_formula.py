@@ -94,15 +94,31 @@ class TestPAlpha:
         with pytest.raises(ValueError):
             formula.p_alpha(1.0, tol=0.0)
 
-    @pytest.mark.parametrize("alpha", [805.715, 1000.0])
+    @pytest.mark.parametrize("alpha", [858.6, 1000.0])
     def test_underflow_gives_zero(self, alpha):
-        # the first term is 0.0 in double precision, and every later one smaller
+        # the first term is 0.0 in double precision (f(858.6) is 2.3e-324
+        # exactly, under half the smallest subnormal), and every later one
+        # smaller
         assert formula.f_term(alpha) == 0.0
         assert formula.p_alpha_terms(alpha) == (0.0, 1)
 
     def test_smallest_representable_value(self):
-        # the last alpha before the underflow keeps its value
-        assert formula.p_alpha_terms(805.714) == (3.119834412917481e-304, 2)
+        # near the foot of the normal range P keeps its value: against the
+        # closed form summed term by term at 40 digits
+        mp = pytest.importorskip("mpmath")
+
+        def f(a):
+            coeffs = (185000, 779750, 1289125, 1042015, 410694, 63000)
+            q = sum(c * a ** (5 - i) for i, c in enumerate(coeffs))
+            return (q * mp.power(2, -(4 * a + 6)) * mp.gamma(3 * a + 2.5)
+                    * mp.gamma(5 * a + 2) / (3 * mp.gamma(a + 1) * mp.gamma(2 * a + 3)
+                                             * mp.gamma(5 * a + 6.5)))
+
+        with mp.workdps(40):
+            want = sum(f(mp.mpf(805.714) + i) for i in range(200))
+        got, _ = formula.p_alpha_terms(805.714)
+        assert abs(got - want) < 1e-11 * want
+        assert formula.f_term(858.5) > 0.0  # subnormal, but not 0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_rejected(self, bad):

@@ -354,3 +354,24 @@ class TestRecord:
                              text=True, check=True,
                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert out.stdout == "0\n"
+
+
+class TestRecordBatchLayout:
+    """A sample's flag and axes have the same bits in any batch and memory
+    layout that holds it: alone, in a slice of a sub-batch, in the whole
+    sub-batch as state_batch returns it, and in a C-ordered copy of it."""
+
+    @pytest.mark.parametrize("dims,k", [((2, 2), 4), ((2, 3), 6), ((3, 3), 9), ((2, 3), 9)],
+                             ids=["hs-2x2", "hs-2x3", "hs-3x3", "induced-2x3-k9"])
+    def test_bit_identical_across_layouts(self, dims, k):
+        measure = induced(dims[0] * dims[1], k)
+        rhos = state_batch(measure, 5, 0, 8192)
+        whole = inv.record_batch(rhos, dims)
+        parts = [(inv.record_batch(np.ascontiguousarray(rhos), dims), slice(None)),
+                 (inv.record_batch(rhos[1001:4096], dims), slice(1001, 4096))]
+        parts += [(inv.record_batch(state_batch(measure, 5, i, 1), dims), slice(i, i + 1))
+                  for i in range(1001, 4096, 619)]
+        for rec, where in parts:
+            assert list(rec) == list(whole)
+            for lb, values in whole.items():
+                assert np.array_equal(rec[lb], values[where]), (lb, where)

@@ -106,7 +106,8 @@ class TestStreamFormat:
         # the sha256 of a few states across a chunk boundary under each stream
         # version: a change to the draw format, or to the arithmetic that
         # builds a state from its draws, fails here unless STREAM_VERSION moves
-        digests = {3: "023c8942198b416233df5ec839efaa7fd1a83586d4f923d38ee3e124d9f5908d"}
+        digests = {3: "023c8942198b416233df5ec839efaa7fd1a83586d4f923d38ee3e124d9f5908d",
+                   4: "cde9fbc0c2666c4ae72a3e63717aeb74e39aeb8dcaec050a3b7ce159c002a4d6"}
         rhos = rs.state_batch(rs.hilbert_schmidt(6), 1, 4090, 12)
         assert hashlib.sha256(rhos.tobytes()).hexdigest() == digests[rs.STREAM_VERSION]
 
@@ -136,6 +137,18 @@ class TestSampleState:
         assert np.abs(np.trace(rhos, axis1=1, axis2=2) - 1).max() < 1e-12
         assert np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max() < 1e-12
         assert np.linalg.eigvalsh(rhos).min() >= -1e-12
+
+    @pytest.mark.parametrize("n,k", [(4, 4), (6, 6), (9, 9), (6, 2), (3, 7)])
+    def test_exactly_hermitian(self, n, k):
+        # each entry above the diagonal is the conjugate of the one below,
+        # bit for bit, and the diagonal's imaginary part is +0
+        rhos = rs.state_batch(rs.MeasureSpec(n, k), 3, 4000, 200)
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        i, j = np.tril_indices(n, -1)
+        assert np.array_equal(bits(rhos[:, i, j].conj()), bits(rhos[:, j, i]))
+        assert not bits(rhos.imag[:, range(n), range(n)]).any()
 
     def test_mean_purity_hs_6(self):
         # E[tr rho^2] = (n+k)/(nk+1) for the induced measure; cross-check the
