@@ -50,8 +50,6 @@ def _cmd_sample(args) -> int:
     if args.config:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
     else:
-        if "dim_a" not in overrides:
-            raise ConfigError("--shape is required without --config")
         cfg = ExperimentConfig.from_dict({}, **overrides)
     state = None
     ck = checkpoint_path(cfg.out_dir)
@@ -89,7 +87,7 @@ def _cmd_analyze(args) -> int:
         except ValueError:
             raise ConfigError("--fit expects a,b,lo,hi")
         target = in_dir / f"{args.axis}.csv"
-        h = HistogramPair.from_csv(target, label=args.axis)
+        h = HistogramPair.from_csv(target)
         scale, resid = fit_scale(h, a, b, fit_range=(lo, hi))
         print(f"fit {args.axis} ~ x^{a:g}(1-x^2)^{b:g} on [{lo:g}, {hi:g}]: "
               f"scale={scale:.6g} max_rel_residual={resid:.4g}")

@@ -34,27 +34,15 @@ import numpy as np
 from . import matrix_core as mc
 
 
-class UnsupportedDimension(ValueError):
-    """Generator basis requested outside the supported range 2..8."""
-
-
 def radius_scale(d: int) -> float:
     """|n| of a pure d-level state: sqrt(2(d-1)/d)."""
     return np.sqrt(2.0 * (d - 1) / d)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorBasis:
-    """The d^2-1 generalized Gell-Mann generators, tr(l_a l_b) = 2 delta_ab."""
-    d: int
-    matrices: np.ndarray  # (d^2-1, d, d), read-only
-
-
 @lru_cache(maxsize=None)
-def su_basis(d: int) -> GeneratorBasis:
-    """Generalized Gell-Mann basis of su(d) in the frozen order above."""
-    if not 2 <= d <= 8:
-        raise UnsupportedDimension(f"supported dimensions are 2..8, got {d}")
+def su_basis(d: int) -> np.ndarray:
+    """The d^2-1 generalized Gell-Mann generators of su(d), tr(l_a l_b) =
+    2 delta_ab, in the frozen order above: a read-only (d^2-1, d, d) array."""
     mats = []
     pairs = list(combinations(range(d), 2))
     for j, k in pairs:
@@ -71,17 +59,14 @@ def su_basis(d: int) -> GeneratorBasis:
         diag[:l] = 1.0
         diag[l] = -l
         mats.append(np.diag(diag).astype(complex) * np.sqrt(2.0 / (l * (l + 1))))
-    arr = np.array(mats)
+    arr = np.array(mats, dtype=complex).reshape(d * d - 1, d, d)
     arr.setflags(write=False)
-    return GeneratorBasis(d=d, matrices=arr)
+    return arr
 
 
-def coherence_vectors_batch(rhos: np.ndarray, basis: GeneratorBasis) -> np.ndarray:
-    """Coherence vectors n_a = tr(rho l_a), shape (..., d^2-1)."""
-    if rhos.shape[-2:] != (basis.d, basis.d):
-        raise mc.ShapeMismatch(
-            f"state shape {rhos.shape} does not match basis d={basis.d}")
-    return np.einsum("...ij,aji->...a", rhos, basis.matrices).real
+def coherence_vectors_batch(rhos: np.ndarray) -> np.ndarray:
+    """Coherence vectors n_a = tr(rho l_a) of states (..., d, d), shape (..., d^2-1)."""
+    return np.einsum("...ij,aji->...a", rhos, su_basis(rhos.shape[-1])).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +75,6 @@ class DTensor:
 
     entries maps canonically sorted index triples to values.
     """
-    d: int
     entries: dict
 
     def value(self, a: int, b: int, c: int) -> float:
@@ -100,8 +84,7 @@ class DTensor:
 @lru_cache(maxsize=None)
 def d_tensor(d: int) -> DTensor:
     """Symmetric structure constants of su(d) for the module's basis."""
-    basis = su_basis(d)
-    lam = basis.matrices
+    lam = su_basis(d)
     m = len(lam)
     entries = {}
     for a in range(m):
@@ -111,7 +94,7 @@ def d_tensor(d: int) -> DTensor:
                 v = 0.25 * np.einsum("ij,ji->", anti, lam[c]).real
                 if abs(v) > 1e-12:
                     entries[(a, b, c)] = float(v)
-    return DTensor(d=basis.d, entries=entries)
+    return DTensor(entries=entries)
 
 
 def cubic_casimir_batch(rhos: np.ndarray, c2: np.ndarray) -> np.ndarray:

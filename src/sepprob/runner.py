@@ -18,7 +18,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import isfinite
 from pathlib import Path
 
@@ -112,9 +112,6 @@ class ExperimentConfig:
     def n(self) -> int:
         return self.dim_a * self.dim_b
 
-    def measure_spec(self) -> MeasureSpec:
-        return MeasureSpec(n=self.n, k=self.k)
-
     def axes(self) -> dict[str, Axis]:
         return {lb: Axis(lb, *AXIS_RANGES[lb], self.bins)
                 for lb in axis_labels((self.dim_a, self.dim_b))}
@@ -127,10 +124,13 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
         merged = {**d, **{k: v for k, v in overrides.items() if v is not None}}
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(merged) - known
+        unknown = set(merged) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in merged]
+        if missing:
+            raise ConfigError(f"missing config keys: {missing}")
         return cls(**merged)
 
     @classmethod
@@ -179,7 +179,8 @@ class RunState:
     @classmethod
     def from_dict(cls, d: dict, cfg: ExperimentConfig) -> "RunState":
         """The state to_dict wrote, on the histogram axes cfg defines;
-        ValueError unless its histogram labels are cfg's, in order.  Keys
+        ValueError unless its histogram labels are cfg's, in order, and the
+        totals and hits of every histogram sum to n_total and n_ppt.  Keys
         that to_dict does not write are ignored."""
         state = cls.fresh(cfg)
         bodies = d["histograms"]
@@ -197,13 +198,27 @@ class RunState:
         for lb, h in state.hists.items():
             decode_histogram(h, bodies[lb])
         decode_histogram(state.joint, d["joint"])
+        # each histogram counts every sample once, in a cell or its overflow
+        for lb, h in [*state.hists.items(), ("joint", state.joint)]:
+            sums = (_count_sum(h.total) + h.out_total, _count_sum(h.hits) + h.out_hits)
+            if sums != (n_total, n_ppt):
+                raise ValueError(f"{lb} counts sum to (total, hits) = {sums}, "
+                                 f"not (n_total, n_ppt) = {(n_total, n_ppt)}")
         return state
+
+
+def _count_sum(counts: np.ndarray) -> int:
+    """Exact sum of non-negative int64 counts: a uint64 sum where the
+    maximum shows that it cannot wrap, Python ints where it could."""
+    if counts.size and int(counts.max()) * counts.size >= 2 ** 64:
+        return sum(counts.tolist())
+    return int(counts.sum(dtype=np.uint64))
 
 
 def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
     """Counts of one contiguous sample-index range (runs in a worker)."""
     part = RunState.fresh(cfg)
-    measure = cfg.measure_spec()
+    measure = MeasureSpec(cfg.n, cfg.k)
     dims = (cfg.dim_a, cfg.dim_b)
     end = start + count
     first_cut = (start // SUB_BATCH + 1) * SUB_BATCH

@@ -199,7 +199,7 @@ class HistogramPair:
             fh.write("".join(rows))
 
     @classmethod
-    def from_csv(cls, path, label: str | None = None) -> "HistogramPair":
+    def from_csv(cls, path) -> "HistogramPair":
         with open(path) as fh:
             lines = fh.read().splitlines()
         try:
@@ -213,8 +213,7 @@ class HistogramPair:
                 raise ValueError("no data rows")
             lo = float(body[0][0])
             hi = float(body[-1][1])
-            axis = Axis(label=label or meta.get("axis", "?"), lo=lo, hi=hi,
-                        bins=len(body))
+            axis = Axis(label=meta.get("axis", "?"), lo=lo, hi=hi, bins=len(body))
             total = np.array([int(r[2]) for r in body], dtype=np.int64)
             hits = np.array([int(r[3]) for r in body], dtype=np.int64)
             out_total, out_hits = (int(meta.get(k, 0)) for k in ("out_total", "out_hits"))
@@ -315,8 +314,6 @@ class RatioEstimate:
     p_hat: float
     ci_lo: float
     ci_hi: float
-    level: float
-    method: str
 
 
 def wilson_interval(hits, total, level: float = 0.95
@@ -357,10 +354,10 @@ def ratio_with_ci(hits: int, total: int, level: float = 0.95,
     if method == "wald":
         z = NormalDist().inv_cdf(0.5 + level / 2.0)
         half = z * np.sqrt(p * (1.0 - p) / total)
-        return RatioEstimate(p, float(p - half), float(p + half), level, method)
+        return RatioEstimate(p, float(p - half), float(p + half))
     if method == "wilson":
         _, lo, hi = wilson_interval(hits, total, level)
-        return RatioEstimate(p, float(lo), float(hi), level, method)
+        return RatioEstimate(p, float(lo), float(hi))
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -150,7 +150,7 @@ def test_criterion_11_algebra_golden():
     ok = ok and abs(dt3.value(7, 7, 7) + 1 / sqrt3) < 1e-12  # d_888
     ok = ok and inv.d_tensor(2).entries == {}
     # full sparse set against the trace formula
-    lam3 = inv.su_basis(3).matrices
+    lam3 = inv.su_basis(3)
     for a in range(8):
         for b in range(8):
             for c in range(8):
@@ -158,7 +158,7 @@ def test_criterion_11_algebra_golden():
                     (lam3[a] @ lam3[b] + lam3[b] @ lam3[a]) @ lam3[c]).real
                 ok = ok and abs(dt3.value(a, b, c) - want) < 1e-12
     for d in (2, 3, 4):
-        lam = inv.su_basis(d).matrices
+        lam = inv.su_basis(d)
         gram = np.einsum("aij,bji->ab", lam, lam).real
         ok = ok and np.abs(gram - 2 * np.eye(d * d - 1)).max() < 1e-12
     check("11", "su(3) d-symbols, su(2) d-tensor zero, basis orthonormality "
@@ -183,7 +183,7 @@ def test_criterion_12_structural_properties(tmp_path_factory):
 
     for d in (2, 3):
         red = mc.partial_trace_batch(rhos, (2, 3), "A" if d == 2 else "B")
-        nv = inv.coherence_vectors_batch(red, inv.su_basis(d))
+        nv = inv.coherence_vectors_batch(red)
         r2_vec = (nv ** 2).sum(axis=1) / inv.radius_scale(d) ** 2
         r2_pur = (mc.purity_batch(red) - 1 / d) / (1 - 1 / d)
         if np.abs(r2_vec - r2_pur).max() > 1e-10:

@@ -95,7 +95,8 @@ def unpacked(text: str) -> list[int]:
 @st.composite
 def run_states(draw, out_dir):
     """A valid config writing to out_dir and a state with arbitrary counts
-    that obey 0 <= hits <= total and n_ppt <= n_total <= samples."""
+    that obey 0 <= hits <= total and n_ppt <= n_total <= samples, and in
+    every histogram sum to n_total (totals) and n_ppt (hits)."""
     dim_a, dim_b = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]))
     induced = draw(st.booleans())
     cfg = rn.ExperimentConfig(
@@ -106,15 +107,20 @@ def run_states(draw, out_dir):
         checkpoint_every=draw(st.integers(1, 2 ** 40)), out_dir=out_dir,
         symmetrize=dim_a == dim_b and draw(st.booleans()))
     state = rn.RunState.fresh(cfg)
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
-    for h in [*state.hists.values(), state.joint]:
-        h.total[...] = rng.integers(0, 2 ** 62, h.total.shape)
-        h.hits[...] = rng.integers(0, h.total + 1)
-        h.out_total = draw(st.integers(0, 2 ** 62))
-        h.out_hits = draw(st.integers(0, h.out_total))
     state.n_total = draw(st.integers(0, cfg.samples))
     state.n_ppt = draw(st.integers(0, state.n_total))
     state.elapsed = draw(st.floats(0.0, 1e9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    for h in [*state.hists.values(), state.joint]:
+        # the PPT and the other samples, each spread over the cells and,
+        # last, the overflow
+        slots = h.total.size + 1
+        hits = rng.multinomial(state.n_ppt, rng.dirichlet(np.ones(slots)))
+        total = hits + rng.multinomial(state.n_total - state.n_ppt,
+                                       rng.dirichlet(np.ones(slots)))
+        h.total[...] = total[:-1].reshape(h.total.shape)
+        h.hits[...] = hits[:-1].reshape(h.hits.shape)
+        h.out_total, h.out_hits = int(total[-1]), int(hits[-1])
     return cfg, state
 
 
@@ -691,8 +697,10 @@ class TestCli:
         (["--shape", "2x2", "--measure", "induced:x"], "measure must be 'hs' or 'induced:K'"),
         (["--shape", "2x2", "--measure", "foo"], "measure must be 'hs' or 'induced:K'"),
         (["--shape", "1x1"], "invalid shape 1x1"),
-        (["--shape", "2x2", "--checkpoint-every", "0"], "checkpoint_every must be >= 1")],
-        ids=["induced_not_int", "unknown_measure", "shape_1x1", "checkpoint_every_0"])
+        (["--shape", "2x2", "--checkpoint-every", "0"], "checkpoint_every must be >= 1"),
+        ([], "missing config keys: ['dim_a', 'dim_b']")],
+        ids=["induced_not_int", "unknown_measure", "shape_1x1", "checkpoint_every_0",
+             "no_shape_or_config"])
     def test_sample_refusal_exit_code(self, tmp_path, capsys, args, message):
         assert cli.main(["sample", "--samples", "10", "--out", str(tmp_path / "r"),
                          *args]) == 1
@@ -726,7 +734,8 @@ class TestCli:
                                         "bool_n_total", "n_ppt_above_total",
                                         "negative_elapsed", "negative_total",
                                         "hits_above_total", "out_hits_above_total",
-                                        "list_joint"])
+                                        "list_joint", "counts_not_n_total",
+                                        "hits_not_n_ppt", "counts_wrap"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
@@ -766,7 +775,14 @@ class TestCli:
                   # a u8 value past the int64 range, -1 if read as signed
                   "negative_total": with_joint(total=packed([2 ** 64 - 1, *total[1:]])),
                   "hits_above_total": with_joint(hits=packed([total[0] + 1, *hits[1:]])),
-                  "out_hits_above_total": with_joint(out_hits=joint["out_total"] + 1)}
+                  "out_hits_above_total": with_joint(out_hits=joint["out_total"] + 1),
+                  # the histograms still count every sample of the run
+                  "counts_not_n_total": with_top(n_total=payload["n_total"] - 1),
+                  "hits_not_n_ppt": with_top(n_ppt=payload["n_ppt"] - 1),
+                  # cells summing to 2**64 more than n_total, which an int64
+                  # or a uint64 sum would wrap back to n_total
+                  "counts_wrap": with_joint(total=packed(
+                      [2 ** 63 - 1, 2 ** 63 - 1, sum(total[:3]) + 2, *total[3:]]))}
         if damage == "truncated":
             ck.write_bytes(data[:-1])
         elif damage == "flipped":
@@ -790,7 +806,7 @@ class TestCli:
 
     @pytest.mark.parametrize("config", [
         {"dim_a": "2", "dim_b": 3}, {"dim_a": 2, "dim_b": 3, "samples": 100.5},
-        [1, 2], {"dim_a": 2, "dim_b": 3, "seed": 1.5}])
+        [1, 2], {"dim_a": 2, "dim_b": 3, "seed": 1.5}, {"dim_b": 3}, {}])
     def test_config_type_error_exit_code(self, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
