@@ -6,7 +6,7 @@ results are merged with commutative sums, so no result depends on worker
 count or scheduling order.  A checkpoint is a line with the sha256 hex
 digest of the bytes after it, then one JSON object: the config and its
 hash, the sample and PPT counts and all histogram counts, each count array
-packed as little-endian binary in base64 (stats.encode_counts).  The axes
+packed as little-endian binary in base64 (stats.encode_histogram).  The axes
 of the histograms are not stored: the config defines them.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .invariants import AXIS_RANGES, axis_labels, record_batch
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
-from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
+from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData, _merged,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
                     ratio_with_ci, read_count)
 
@@ -425,11 +425,10 @@ def export(report: ExperimentReport, out_dir=None) -> list[Path]:
            lambda p: p.write_text(json.dumps(report.to_dict(), indent=2)))
     for lb, h in report.hists.items():
         _write(f"{lb}.csv", h.to_csv)
-    joint = report.joint
     if report.config.symmetrize:
-        joint = joint.symmetrize()
-        _write("R_sym.csv", joint.marginal("x").to_csv)
-    _write("joint_r_R.csv", joint.to_csv)
+        # both radii of a d x d state, pooled on r_A's axis
+        _write("R_sym.csv", _merged(report.hists["r_A"], report.hists["R_B"]).to_csv)
+    _write("joint_r_R.csv", report.joint.to_csv)
     lines = []
     for p in written:
         digest = hashlib.sha256(p.read_bytes()).hexdigest()

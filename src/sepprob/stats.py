@@ -103,16 +103,6 @@ def unpack_counts(text, name: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
-def encode_counts(total: np.ndarray, hits: np.ndarray) -> dict:
-    """Sparse form of a (total, hits) pair of count arrays: the flat index of
-    every cell where either is non-zero, in increasing order, with its counts,
-    each array packed by pack_counts."""
-    total, hits = total.ravel(), hits.ravel()
-    index = np.flatnonzero(total | hits)
-    return {"index": pack_counts(index), "total": pack_counts(total[index]),
-            "hits": pack_counts(hits[index])}
-
-
 def read_count(d: dict, name: str) -> int:
     """d[name] if it is an int >= 0 and not a bool; ValueError otherwise."""
     value = d[name]
@@ -121,24 +111,9 @@ def read_count(d: dict, name: str) -> int:
     return value
 
 
-def decode_counts(d: dict, total: np.ndarray, hits: np.ndarray) -> None:
-    """Write the counts in encode_counts' form d into total and hits, two
-    zero-filled C-contiguous arrays of one shape.
-
-    Raises ValueError unless each of the three arrays unpacks, they have
-    equal length, the indices increase strictly within [0, total.size) and
-    hits <= total.
-    """
-    index, cell_total, cell_hits = (unpack_counts(d.get(k), k)
-                                    for k in ("index", "total", "hits"))
-    if not len(index) == len(cell_total) == len(cell_hits):
-        raise ValueError("counts 'index', 'total' and 'hits' differ in length")
-    if len(index) and (index[-1] >= total.size or np.any(index[1:] <= index[:-1])):
-        raise ValueError(f"count indices must increase strictly within [0, {total.size})")
-    if np.any(cell_hits > cell_total):
-        raise ValueError("counts must satisfy 0 <= hits <= total in every cell")
-    total.reshape(-1)[index] = cell_total
-    hits.reshape(-1)[index] = cell_hits
+def _edge_text(axis: Axis) -> list[str]:
+    """The bin edges of axis as the axis CSV writes them."""
+    return [f"{e:.10g}" for e in axis.edges().tolist()]
 
 
 def _count(h, flat: np.ndarray, ok: np.ndarray, ppt: np.ndarray) -> None:
@@ -183,7 +158,7 @@ class HistogramPair:
         return _merged(self, other)
 
     def to_csv(self, path) -> None:
-        edges = [f"{e:.10g}" for e in self.axis.edges().tolist()]
+        edges = _edge_text(self.axis)
         occupied = self.total > 0
         p_hat, ci_lo, ci_hi = (a.tolist() for a in wilson_interval(
             self.hits[occupied], self.total[occupied]))
@@ -214,6 +189,11 @@ class HistogramPair:
             lo = float(body[0][0])
             hi = float(body[-1][1])
             axis = Axis(label=meta.get("axis", "?"), lo=lo, hi=hi, bins=len(body))
+            # rows missing, or edges off the even grid, would re-grid the counts
+            edges = _edge_text(axis)
+            if any(r[:2] != edges[i:i + 2] for i, r in enumerate(body)):
+                raise ValueError(f"bin edges are not those of {len(body)} even bins "
+                                 f"from {body[0][0]} to {body[-1][1]}")
             total = np.array([int(r[2]) for r in body], dtype=np.int64)
             hits = np.array([int(r[3]) for r in body], dtype=np.int64)
             out_total, out_hits = (int(meta.get(k, 0)) for k in ("out_total", "out_hits"))
@@ -256,28 +236,6 @@ class JointHistogram:
             raise AxisMismatch("cannot merge joint histograms with different axes")
         return _merged(self, other)
 
-    def symmetrize(self) -> "JointHistogram":
-        """j + j^T on both layers; axes must have identical bounds and bins."""
-        if (self.axis_x.lo, self.axis_x.hi, self.axis_x.bins) != \
-                (self.axis_y.lo, self.axis_y.hi, self.axis_y.bins):
-            raise AxisMismatch("symmetrize needs identically specified axes")
-        return JointHistogram(axis_x=self.axis_x, axis_y=self.axis_y,
-                              total=self.total + self.total.T,
-                              hits=self.hits + self.hits.T,
-                              out_total=2 * self.out_total,
-                              out_hits=2 * self.out_hits)
-
-    def marginal(self, axis: str) -> HistogramPair:
-        if axis == "x":
-            return HistogramPair(axis=self.axis_x, total=self.total.sum(axis=1),
-                                 hits=self.hits.sum(axis=1),
-                                 out_total=self.out_total, out_hits=self.out_hits)
-        if axis == "y":
-            return HistogramPair(axis=self.axis_y, total=self.total.sum(axis=0),
-                                 hits=self.hits.sum(axis=0),
-                                 out_total=self.out_total, out_hits=self.out_hits)
-        raise ValueError("axis must be 'x' or 'y'")
-
     def to_csv(self, path) -> None:
         """One row per nonempty cell, x-major."""
         i, j = np.nonzero(self.total | self.hits)
@@ -293,17 +251,34 @@ class JointHistogram:
 
 
 def encode_histogram(h: HistogramPair | JointHistogram) -> dict:
-    """The counts of a histogram, without its axes: encode_counts' sparse
-    cells and the overflow tallies."""
-    return {**encode_counts(h.total, h.hits),
+    """The counts of a histogram, without its axes: the flat index of every
+    cell where total or hits is non-zero, in increasing order, with its
+    counts, each array packed by pack_counts, and the overflow tallies."""
+    total, hits = h.total.ravel(), h.hits.ravel()
+    index = np.flatnonzero(total | hits)
+    return {"index": pack_counts(index), "total": pack_counts(total[index]),
+            "hits": pack_counts(hits[index]),
             "out_total": h.out_total, "out_hits": h.out_hits}
 
 
 def decode_histogram(h: HistogramPair | JointHistogram, d: dict) -> None:
-    """Fill the empty histogram h with the counts encode_histogram wrote to
-    d; ValueError unless they fit h's axes and obey 0 <= hits <= total in
-    every cell and in the overflow tallies."""
-    decode_counts(d, h.total, h.hits)
+    """Fill the empty histogram h with the counts encode_histogram wrote to d.
+
+    Raises ValueError unless each of the three count arrays unpacks, they
+    have equal length, the indices increase strictly within the cells of
+    h's axes and 0 <= hits <= total holds in every cell and in the
+    overflow tallies.
+    """
+    index, cell_total, cell_hits = (unpack_counts(d.get(k), k)
+                                    for k in ("index", "total", "hits"))
+    if not len(index) == len(cell_total) == len(cell_hits):
+        raise ValueError("counts 'index', 'total' and 'hits' differ in length")
+    if len(index) and (index[-1] >= h.total.size or np.any(index[1:] <= index[:-1])):
+        raise ValueError(f"count indices must increase strictly within [0, {h.total.size})")
+    if np.any(cell_hits > cell_total):
+        raise ValueError("counts must satisfy 0 <= hits <= total in every cell")
+    h.total.reshape(-1)[index] = cell_total
+    h.hits.reshape(-1)[index] = cell_hits
     h.out_total, h.out_hits = read_count(d, "out_total"), read_count(d, "out_hits")
     if h.out_hits > h.out_total:
         raise ValueError(f"out_hits {h.out_hits} exceeds out_total {h.out_total}")

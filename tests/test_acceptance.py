@@ -95,6 +95,20 @@ def test_criterion_6_induced_measure(tmp_path_factory):
           "0.2605 +/- 0.0018", abs(p - 0.2605) <= 0.0018, f"p_hat={p:.5f}")
 
 
+@pytest.mark.parametrize("k, exact", [(5, (61, 143)), (6, (259, 442))],
+                         ids=["K5", "K6"])
+def test_criterion_6b_induced_two_qubit_exact(tmp_path_factory, k, exact):
+    # the conjectured rational values of Slater and Dunkl, Adv. Math. Phys.
+    # 2015, 621353
+    p_exact = exact[0] / exact[1]
+    rep = run(tmp_path_factory, f"ind_2x2_k{k}", dim_a=2, dim_b=2,
+              measure="induced", k=k, samples=2 * 10 ** 6, seed=11)
+    p = rep.n_ppt / rep.n_total
+    z = (p - p_exact) / np.sqrt(p_exact * (1 - p_exact) / rep.n_total)
+    check("6b", f"induced-measure (K={k}) two-qubit probability within 4 sigma "
+          f"of {exact[0]}/{exact[1]}", abs(z) < 4, f"p_hat={p:.5f}, z={z:+.2f}")
+
+
 def test_criterion_7_flatness_over_invariants(run_2x3_1e7):
     details = []
     ok = True

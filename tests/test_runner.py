@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import packed
 from sepprob import cli
 from sepprob import runner as rn
-from sepprob.stats import encode_histogram
+from sepprob.stats import HistogramPair, encode_histogram
 
 
 AXIS_CSV_HEADER = "bin_lo,bin_hi,total,hits,p_hat,ci_lo,ci_hi\n"
@@ -217,9 +217,9 @@ class TestRunExperiment:
 
     def test_joint_marginals_match_axis_hists(self, tmp_path):
         rep = rn.run_experiment(small_cfg(tmp_path))
-        assert np.array_equal(rep.joint.marginal("x").total, rep.hists["r_A"].total)
-        assert np.array_equal(rep.joint.marginal("x").hits, rep.hists["r_A"].hits)
-        assert np.array_equal(rep.joint.marginal("y").total, rep.hists["R_B"].total)
+        assert np.array_equal(rep.joint.total.sum(axis=1), rep.hists["r_A"].total)
+        assert np.array_equal(rep.joint.hits.sum(axis=1), rep.hists["r_A"].hits)
+        assert np.array_equal(rep.joint.total.sum(axis=0), rep.hists["R_B"].total)
 
     def test_worker_count_independence(self, tmp_path):
         reps = [rn.run_experiment(small_cfg(tmp_path / str(w), samples=10_000,
@@ -555,10 +555,58 @@ class TestExport:
         rn.export(rep)
         out = tmp_path / "run"
         assert (out / "R_sym.csv").exists()
-        from sepprob.stats import HistogramPair
         sym = HistogramPair.from_csv(out / "R_sym.csv")
         merged = rep.hists["r_A"].total + rep.hists["R_B"].total
         assert np.array_equal(sym.total, merged)
+
+    def test_symmetrized_export_counts_each_sample_once(self, tmp_path):
+        # joint_r_R.csv was once written as J + J^T, which counts every sample twice
+        cfg = small_cfg(tmp_path, dim_a=3, dim_b=3, samples=4_000, symmetrize=True)
+        rep = rn.run_experiment(cfg)
+        rn.export(rep)
+        out = tmp_path / "run"
+        lines = (out / "joint_r_R.csv").read_text().splitlines()
+        out_total = int(lines[1].split()[1].removeprefix("out_total="))
+        assert sum(int(ln.split(",")[2]) for ln in lines[3:]) + out_total == cfg.samples
+        joint = out / "joint.csv"
+        rep.joint.to_csv(joint)
+        assert (out / "joint_r_R.csv").read_bytes() == joint.read_bytes()
+        sym = HistogramPair.from_csv(out / "R_sym.csv")
+        r_a, r_b = rep.hists["r_A"], rep.hists["R_B"]
+        assert sym.axis == r_a.axis
+        assert np.array_equal(sym.total, r_a.total + r_b.total)
+        assert np.array_equal(sym.hits, r_a.hits + r_b.hits)
+        assert (sym.out_total, sym.out_hits) == (r_a.out_total + r_b.out_total,
+                                                 r_a.out_hits + r_b.out_hits)
+
+    @pytest.mark.parametrize("bins", [1, 100, rn.MAX_BINS])
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_every_axis_csv_loads(self, tmp_path, rng, shape, bins):
+        # counts in every axis and overflow, on every bin edge an export writes
+        cfg = small_cfg(tmp_path, dim_a=shape[0], dim_b=shape[1], bins=bins,
+                        symmetrize=shape[0] == shape[1])
+        state = rn.RunState.fresh(cfg)
+        n = 3_000
+        ppt = rng.random(n) < 0.3
+        for h in state.hists.values():
+            lo, hi = h.axis.lo, h.axis.hi
+            h.accumulate_many(np.concatenate([rng.uniform(lo - 0.1, hi + 0.1, n - 2 - bins),
+                                              h.axis.edges()[:-1], [lo, hi]]), ppt)
+        state.n_total, state.n_ppt = n, int(ppt.sum())
+        names = {p.name for p in rn.export(rn.assemble_report(cfg, state))}
+        expected = {f"{lb}.csv": h for lb, h in state.hists.items()}
+        if cfg.symmetrize:
+            r_a, r_b = state.hists["r_A"], state.hists["R_B"]
+            expected["R_sym.csv"] = HistogramPair(
+                r_a.axis, r_a.total + r_b.total, r_a.hits + r_b.hits,
+                r_a.out_total + r_b.out_total, r_a.out_hits + r_b.out_hits)
+        assert set(expected) <= names
+        for name, h in expected.items():
+            back = HistogramPair.from_csv(Path(cfg.out_dir) / name)
+            assert back.axis == h.axis, name
+            assert np.array_equal(back.total, h.total) and np.array_equal(back.hits, h.hits)
+            assert (back.out_total, back.out_hits) == (h.out_total, h.out_hits)
 
     def test_creates_missing_out_dir(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=1_000,
@@ -606,9 +654,11 @@ class TestCli:
         AXIS_CSV_HEADER + "0,0.5,20,100,5,1,1\n0.5,1,20,5,0.25,0.1,0.5\n",
         AXIS_CSV_HEADER + "0,0.5,-20,0,,,\n0.5,1,20,5,0.25,0.1,0.5\n",
         "# out_total=3 out_hits=4\n" + AXIS_CSV_HEADER
-        + "0,0.5,20,5,0.25,0.1,0.5\n0.5,1,20,5,0.25,0.1,0.5\n"],
+        + "0,0.5,20,5,0.25,0.1,0.5\n0.5,1,20,5,0.25,0.1,0.5\n",
+        AXIS_CSV_HEADER + "0,0.25,20,5,0.25,0.1,0.5\n0.75,1,20,5,0.25,0.1,0.5\n",
+        AXIS_CSV_HEADER + "0,0.4,20,5,0.25,0.1,0.5\n0.4,1,20,5,0.25,0.1,0.5\n"],
         ids=["empty", "header_only", "short_row", "hits_above_total", "negative_total",
-             "out_hits_above_total"])
+             "out_hits_above_total", "gap", "uneven_edges"])
     def test_analyze_malformed_csv_exit_code(self, tmp_path, capsys, text):
         # the count cases once parsed and printed a chi-square result, exit 0
         (tmp_path / "r_A.csv").write_text(text)
