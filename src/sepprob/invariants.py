@@ -102,22 +102,24 @@ def cubic_casimir_batch(rhos: np.ndarray, c2: np.ndarray) -> np.ndarray:
     Casimir c2: with rho = I/d + n.l/2, |n|^2 = c2 radius_scale(d)^2 and
     tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc d_abc n_a n_b n_c."""
     d = rhos.shape[-1]
-    n2 = c2 * radius_scale(d) ** 2
     # tr rho^3 = sum_ij (rho^2)_ij rho_ji in index order, one real multiply
     # or add per operation, so a sample's result has the same bits in any
     # batch
     re, im = mc.entry_planes(rhos)
     tr3 = np.zeros(rhos.shape[:-2])
+    sq_re, sq_im = np.empty(rhos.shape[:-2]), np.empty(rhos.shape[:-2])  # (rho^2)_ij
     for j in range(d):
-        sq_re, sq_im = np.zeros(re.shape[1:]), np.zeros(re.shape[1:])  # (rho^2)_:j
-        for k in range(d):
-            sq_re += re[:, k] * re[k, j]
-            sq_re -= im[:, k] * im[k, j]
-            sq_im += re[:, k] * im[k, j]
-            sq_im += im[:, k] * re[k, j]
         for i in range(d):
-            tr3 += sq_re[i] * re[j, i]
-            tr3 -= sq_im[i] * im[j, i]
+            sq_re.fill(0.0)
+            sq_im.fill(0.0)
+            for k in range(d):
+                sq_re += re[i, k] * re[k, j]
+                sq_re -= im[i, k] * im[k, j]
+                sq_im += re[i, k] * im[k, j]
+                sq_im += im[i, k] * re[k, j]
+            tr3 += sq_re * re[j, i]
+            tr3 -= sq_im * im[j, i]
+    n2 = c2 * radius_scale(d) ** 2
     return 4.0 * (tr3 - 1.0 / d ** 2 - 1.5 * n2 / d) / radius_scale(d) ** 3
 
 
@@ -171,11 +173,19 @@ def axis_labels(dims: tuple[int, int]) -> list[str]:
     return labels
 
 
-def record_batch(rhos: np.ndarray, dims: tuple[int, int]) -> dict:
+def record_batch(rhos: np.ndarray, dims: tuple[int, int], *,
+                 workspace: mc.Workspace | None = None) -> dict:
     """PPT flags ("ppt") and one array per axis_labels(dims) entry of
-    bipartite states (..., m*n, m*n)."""
-    rho_a = mc.partial_trace_batch(rhos, dims, "A")
-    rho_b = mc.partial_trace_batch(rhos, dims, "B")
+    bipartite states (..., m*n, m*n).  The reduced states and the PPT
+    kernel's arrays live in the workspace's buffers; the reduced states are
+    done with before the kernel takes them over."""
+    ws = mc.Workspace() if workspace is None else workspace
+    m, n, lead = *dims, rhos.shape[:-2]
+    # batch-last, like the states of random_states.state_batch
+    rho_a, rho_b = (np.moveaxis(t, (0, 1), (-2, -1)) for t in ws.take(
+        "planes", (m, m, *lead), (n, n, *lead), dtype=complex))
+    mc.partial_trace_batch(rhos, dims, "A", out=rho_a)
+    mc.partial_trace_batch(rhos, dims, "B", out=rho_b)
     c2_a = quadratic_casimir_batch(rho_a)
     c2_b = quadratic_casimir_batch(rho_b)
     derived = {
@@ -188,5 +198,5 @@ def record_batch(rhos: np.ndarray, dims: tuple[int, int]) -> dict:
         "C002": lambda: fano_correlation_invariant_batch(rhos, c2_a, c2_b),
     }
     out = {lb: derived[lb]() for lb in axis_labels(dims)}
-    out["ppt"] = mc.min_pt_eigenvalue_batch(rhos, dims) >= -mc.PPT_TOL
+    out["ppt"] = mc.min_pt_eigenvalue_batch(rhos, dims, workspace=ws) >= -mc.PPT_TOL
     return out

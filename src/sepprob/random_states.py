@@ -25,6 +25,14 @@ Each entry above the diagonal is written as the exact conjugate of the one
 below and the diagonal is real: every state is exactly Hermitian, and has
 the same bits in any batch.
 
+The draws, the factor's planes and the column sums live in the buffers of
+a matrix_core.Workspace.  runner._range_stats makes one per worker range
+and passes it to every sub-batch of the range and then drops it, so after
+the first sub-batch these arrays fault in no fresh pages; a call given
+none makes its own.  rho itself never lives in a workspace: callers keep
+the states a call returns, so each call returns a fresh array.  No
+workspace is cached at module level.
+
 Reproducibility: samples are grouped into fixed chunks of CHUNK_SAMPLES.
 Chunk c of master seed s has two substreams,
 Generator(SFC64(SeedSequence([s, c, sub]))): sub 0 holds the normals
@@ -60,6 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
+from .matrix_core import Workspace
+
 CHUNK_SAMPLES = 4096
 # the draw format above; a change to it bumps this, never a setting
 STREAM_VERSION = 4
@@ -84,11 +94,11 @@ def induced(n: int, k: int) -> MeasureSpec:
     return MeasureSpec(n=n, k=k)
 
 
-def _draws(master_seed: int, sub: int, start: int, count: int, per_sample: int,
-           draw) -> np.ndarray:
-    """Draws of samples [start, start+count) on substream sub, shape
-    (count, per_sample); draw(rng, out) fills a (rows, per_sample) array."""
-    out = np.empty((count, per_sample))
+def _draws(master_seed: int, sub: int, start: int, out: np.ndarray, draw) -> np.ndarray:
+    """Fill out, of shape (count, per_sample), with the draws of samples
+    [start, start+count) on substream sub; draw(rng, a) fills a
+    (rows, per_sample) array."""
+    count, per_sample = out.shape
     i, end = start, start + count
     while i < end:
         chunk, off = divmod(i, CHUNK_SAMPLES)
@@ -101,23 +111,24 @@ def _draws(master_seed: int, sub: int, start: int, count: int, per_sample: int,
     return out
 
 
-def _normals(master_seed: int, start: int, count: int, per_sample: int) -> np.ndarray:
+def _normals(master_seed: int, start: int, out: np.ndarray) -> np.ndarray:
     """Standard normals of samples [start, start+count) on substream 0."""
-    return _draws(master_seed, 0, start, count, per_sample,
-                  lambda rng, a: rng.standard_normal(out=a))
+    return _draws(master_seed, 0, start, out, lambda rng, a: rng.standard_normal(out=a))
 
 
 def ginibre_batch(n: int, k: int, master_seed: int, start: int,
                   count: int) -> np.ndarray:
     """Ginibre matrices for sample indices [start, start+count), shape (count, n, k)."""
-    return _normals(master_seed, start, count, 2 * n * k).view(complex).reshape(count, n, k)
+    z = _normals(master_seed, start, np.empty((count, 2 * n * k)))
+    return z.view(complex).reshape(count, n, k)
 
 
 def state_batch(measure: MeasureSpec, master_seed: int, start: int,
-                count: int) -> np.ndarray:
+                count: int, *, workspace: Workspace | None = None) -> np.ndarray:
     """Density matrices for sample indices [start, start+count), shape
-    (count, n, n): the view of an (n, n, count) array, whose every entry is
-    one contiguous row over the batch.
+    (count, n, n): the view of a fresh (n, n, count) array, whose every
+    entry is one contiguous row over the batch.  The draws, the factor's
+    planes and the column sums go through the workspace's buffers.
 
     rho_ij = sum_{k <= min(i, j)} Lh_ik conj(Lh_jk) for i >= j, summed over k
     in order by plain multiplies and adds on the real and imaginary planes
@@ -125,14 +136,15 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     entry above the diagonal is the exact conjugate and the diagonal is
     real, so every state is exactly Hermitian.
     """
+    ws = Workspace() if workspace is None else workspace
     n, k = measure.n, measure.k
     r = min(n, k)
     widths = [min(i, r) for i in range(n)]
     m = sum(widths)
-    z = _normals(master_seed, start, count, 2 * m)
+    z, g = ws.take("rows", (count, 2 * m), (count, r))
+    _normals(master_seed, start, z)
     shapes = np.arange(k, k - r, -1, dtype=float)
-    g = _draws(master_seed, 1, start, count, r,
-               lambda rng, a: rng.standard_gamma(shapes, out=a))
+    _draws(master_seed, 1, start, g, lambda rng, a: rng.standard_gamma(shapes, out=a))
     g *= 2.0
     # rho = Lh Lh^dag with Lh = L / sqrt(sum |L_ij|^2); the sum is at least
     # |L_00|^2 = 2 Gamma(k), which Marsaglia-Tsang never returns as 0 for
@@ -141,23 +153,25 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     s = 1.0 / np.sqrt(np.einsum("si,si->s", z, z) + g.sum(axis=1))
     # the real and imaginary planes of Lh, (2, n, r, count); the loop below
     # reads no entry above the diagonal
-    planes = np.empty((2, n, r, count))
+    planes, = ws.take("planes", (2, n, r, count))
     parts = z.reshape(count, m, 2).transpose(2, 1, 0)  # (2, m, count) view
     pos = 0
     for i, w in enumerate(widths):
         np.multiply(parts[:, pos:pos + w], s, out=planes[:, i, :w])
         pos += w
-    del z, parts
     lr, li = planes
-    diag = np.arange(r)
-    lr[diag, diag] = np.sqrt(g.T) * s
-    li[diag, diag] = 0.0
+    diag = lr.reshape(n * r, count)[:r * (r + 1):r + 1]  # L_ii, i < r
+    np.sqrt(g.T, out=diag)
+    diag *= s
+    li.reshape(n * r, count)[:r * (r + 1):r + 1] = 0.0
     rho = np.empty((n, n, count), dtype=complex)
-    tmp = np.empty((n, count))
+    # the draws are used up: the column sums take their rows
+    sum_re, sum_im, tmp = ws.take("rows", (n, count), (n, count), (n, count))
     for j in range(n):
         # column j on and below the diagonal
-        acc_re, acc_im = np.zeros((n - j, count)), np.zeros((n - j, count))
-        t = tmp[:n - j]
+        acc_re, acc_im, t = sum_re[:n - j], sum_im[:n - j], tmp[:n - j]
+        acc_re.fill(0.0)
+        acc_im.fill(0.0)
         for kk in range(min(j + 1, r)):
             a_re, a_im = lr[j:, kk], li[j:, kk]
             b_re, b_im = lr[j, kk], li[j, kk]
@@ -168,7 +182,7 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
         # the conjugate row first: the column then writes the diagonal's
         # imaginary part as the +0 that acc_im holds there
         rho.real[j, j:] = acc_re
-        rho.imag[j, j:] = -acc_im
+        np.negative(acc_im, out=rho.imag[j, j:])
         rho.real[j:, j] = acc_re
         rho.imag[j:, j] = acc_im
     return rho.transpose(2, 0, 1)

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .invariants import AXIS_RANGES, axis_labels, record_batch
+from .matrix_core import Workspace
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
 from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData, _merged,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
@@ -38,12 +39,12 @@ SUB_BATCH = 2 * CHUNK_SAMPLES
 MAX_BINS = 2048
 # a pool forks all of its workers at the first submit
 MAX_WORKERS = 256
-# n <= 32 at this cap on n*max(n, k).  A sub-batch draws SUB_BATCH x n(n-1)
-# float64 normals at most (8 B per matrix entry), copies them into the two
-# float n x min(n, k) planes of L (16 B) and frees them, then writes the
-# complex n x n states (16 B): under 8192 * 1024 * 32 B = 268 MB at n = 32,
-# and at most as much again for the kernel's partial transposes.  k adds
-# only gamma shapes, no memory; the cap still bounds it.
+# n <= 32 at this cap on n*max(n, k).  At n = 32 a worker's workspace holds
+# per sample at most n(n-1) normals and n gammas in its rows (8 B per
+# matrix entry) and the two float n x n planes of rho^Gamma, which the
+# factor's planes and the reduced states fit into (16 B); each sub-batch
+# adds its complex n x n states (16 B): 8192 * 1024 * 40 B = 320 MiB.  k
+# adds only gamma shapes, no memory; the cap still bounds it.
 MAX_MATRIX_ENTRIES = 1024
 
 
@@ -216,22 +217,29 @@ def _count_sum(counts: np.ndarray) -> int:
 
 
 def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
-    """Counts of one contiguous sample-index range (runs in a worker)."""
+    """Counts of one contiguous sample-index range (runs in a worker).
+
+    One workspace serves every sub-batch of the range, so after the first
+    they reuse its buffers instead of faulting in fresh pages; it lives for
+    this call only.  The states of a sub-batch are a fresh array, freed as
+    soon as they are recorded."""
     part = RunState.fresh(cfg)
     measure = MeasureSpec(cfg.n, cfg.k)
     dims = (cfg.dim_a, cfg.dim_b)
     end = start + count
     first_cut = (start // SUB_BATCH + 1) * SUB_BATCH
     cuts = [start, *range(first_cut, end, SUB_BATCH), end]
+    workspace = Workspace()
     for lo, hi in zip(cuts, cuts[1:]):
-        rhos = state_batch(measure, cfg.seed, lo, hi - lo)
-        rec = record_batch(rhos, dims)
+        # the states are freed once recorded, before the counting allocates
+        rec = record_batch(state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
+                           dims, workspace=workspace)
         ppt = rec["ppt"]
         part.n_ppt += int(ppt.sum())
         for lb, h in part.hists.items():
             h.accumulate_many(rec[lb], ppt)
         part.joint.accumulate_many(rec["r_A"], rec["R_B"], ppt)
-        del rhos, rec, ppt  # free this sub-batch before drawing the next
+        del rec, ppt  # free this sub-batch before drawing the next
     part.n_total = count
     return part
 

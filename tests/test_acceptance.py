@@ -15,7 +15,7 @@ from sepprob import invariants as inv
 from sepprob import matrix_core as mc
 from sepprob.random_states import hilbert_schmidt, state_batch
 from sepprob.runner import ExperimentConfig, run_experiment
-from sepprob.stats import fit_scale, flatness_test, ratio_with_ci
+from sepprob.stats import chi2_sf, fit_scale, flatness_test, ratio_with_ci
 
 pytestmark = pytest.mark.acceptance
 
@@ -128,6 +128,43 @@ def test_criterion_8_c002_non_flatness(run_2x2_2e6):
     check("8", "C002 axis rejects flatness (p < 1e-6) while r_A passes; "
           "overall p_hat in 0.2422 +/- 0.0013", ok,
           f"p_c002={p_c002:.3g}, p_r={p_r:.3g}, p_hat={p_overall:.5f}")
+
+
+def test_criterion_8b_two_qubit_bins_match_exact(run_2x2_2e6):
+    # P(sep | r) = 8/33 at every r for 2x2 HS (Milz and Strunz, J. Phys. A 48,
+    # 035306 (2015)): a chi-square of every bin against that value, not
+    # against the run's own mean, on flatness_test's bins
+    p0 = 8 / 33
+    details, ok = [], True
+    for lb in ("r_A", "R_B"):
+        h = run_2x2_2e6.hists[lb]
+        mask = h.total >= 1000
+        mask[-1] = False
+        t, s = h.total[mask].astype(float), h.hits[mask].astype(float)
+        chi2 = float(((s - t * p0) ** 2 / (t * p0 * (1 - p0))).sum())
+        dof = int(mask.sum())
+        p = chi2_sf(chi2, dof)
+        details.append(f"{lb}: chi2={chi2:.1f}, dof={dof}, p={p:.3g}")
+        ok = ok and p > 0.001
+    check("8b", "two-qubit HS P(PPT | r_A) and P(PPT | R_B) match 8/33 in every bin "
+          "(each p > 0.001)", ok, "; ".join(details))
+
+
+def test_criterion_8c_wilson_coverage(tmp_path_factory):
+    # 200 independent 2x2 HS runs: the share of 95% Wilson intervals that hold
+    # the exact 8/33 is binomial(200, 0.95) / 200
+    seeds, cover = 200, 0.95
+    inside = 0
+    for seed in range(seeds):
+        rep = run(tmp_path_factory, f"cover{seed}", dim_a=2, dim_b=2,
+                  samples=2 * 10 ** 4, seed=10 ** 6 + seed)
+        ci = rep.overall["wilson_0.95"]
+        inside += ci["ci_lo"] <= 8 / 33 <= ci["ci_hi"]
+    frac = inside / seeds
+    sigma = np.sqrt(cover * (1 - cover) / seeds)
+    check("8c", "95% Wilson intervals of 200 two-qubit runs hold 8/33 at a rate "
+          "within 4 sigma of 0.95", abs(frac - cover) <= 4 * sigma,
+          f"{inside} of {seeds}, sigma={sigma:.4f}")
 
 
 def test_criterion_9a_qubit_radial_model(run_2x3_1e7):

@@ -1,6 +1,8 @@
+import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from sepprob import invariants as inv
 from sepprob import matrix_core as mc
-from sepprob.random_states import hilbert_schmidt, induced, state_batch
+from sepprob.random_states import STREAM_VERSION, hilbert_schmidt, induced, state_batch
 from sepprob.runner import ExperimentConfig, RunState
 from conftest import (bell_psi_minus, haar_unitary, loop_partial_transpose,
                       random_density)
@@ -366,3 +368,65 @@ class TestRecordBatchLayout:
             assert list(rec) == list(whole)
             for lb, values in whole.items():
                 assert np.array_equal(rec[lb], values[where]), (lb, where)
+
+
+class TestWorkspace:
+    """Consecutive sub-batches that share one workspace, as a worker range
+    does, get the bits of the default path, and no array a call returns
+    lives in the workspace."""
+
+    @pytest.mark.parametrize("dims,k", [((2, 2), 4), ((2, 3), 6), ((3, 3), 9), ((2, 4), 8),
+                                        ((2, 3), 2), ((2, 3), 9)],
+                             ids=["hs-2x2", "hs-2x3", "hs-3x3", "hs-2x4",
+                                  "induced-2x3-k2", "induced-2x3-k9"])
+    def test_bit_identical_to_the_default_path(self, dims, k):
+        measure = induced(dims[0] * dims[1], k)
+        ws = mc.Workspace()
+        kept, start = [], 100
+        for count in (8192, 848, 1):
+            rhos = state_batch(measure, 9, start, count, workspace=ws)
+            assert np.array_equal(rhos, state_batch(measure, 9, start, count))
+            kept.append((rhos, rhos.copy()))
+            rec = inv.record_batch(rhos, dims, workspace=ws)
+            want = inv.record_batch(rhos, dims)
+            assert list(rec) == list(want)
+            for lb, values in want.items():
+                assert np.array_equal(rec[lb], values), (lb, count)
+            assert np.array_equal(mc.min_pt_eigenvalue_batch(rhos, dims, workspace=ws),
+                                  mc.min_pt_eigenvalue_batch(rhos, dims))
+            start += count
+        # the kernel and the later sub-batches left every returned state as it was
+        for rhos, copy in kept:
+            assert np.array_equal(rhos, copy)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_a_warm_sub_batch_allocates_its_states_and_little_else(self, dims):
+        measure = hilbert_schmidt(dims[0] * dims[1])
+        ws = mc.Workspace()
+        inv.record_batch(state_batch(measure, 9, 0, 8192, workspace=ws), dims, workspace=ws)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rhos = state_batch(measure, 9, 8192, 8192, workspace=ws)
+            inv.record_batch(rhos, dims, workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= rhos.nbytes + 2 ** 20
+
+
+def test_ppt_flags_pinned():
+    # the sha256 of the packed PPT flags of 10^5 HS states per shape under
+    # each stream version: a change to the PPT kernel that moves any flag
+    # fails here
+    digests = {4: {(2, 2): "63044ad4b74738076b7a773a499b545429e95d1fe41eea735c5f2961c460187c",
+                   (2, 3): "42dbe1eb1b4574baaaa7743feb885be4d0a574c3553b13228eb6fb5b7cc9e1fa",
+                   (3, 3): "fb272581b52744cde13bed5bfdf8df16a3a1bd1b04b9f8b97b14dc145655518b"}}
+    n = 10 ** 5
+    for dims, digest in digests[STREAM_VERSION].items():
+        measure = hilbert_schmidt(dims[0] * dims[1])
+        ws = mc.Workspace()
+        flags = np.concatenate([
+            inv.record_batch(state_batch(measure, 2024, lo, min(8192, n - lo), workspace=ws),
+                             dims, workspace=ws)["ppt"] for lo in range(0, n, 8192)])
+        assert hashlib.sha256(np.packbits(flags).tobytes()).hexdigest() == digest, dims

@@ -3,7 +3,7 @@ import pytest
 
 from sepprob import matrix_core as mc
 from sepprob.random_states import hilbert_schmidt, induced, state_batch
-from conftest import bell_psi_minus, loop_partial_transpose, random_density
+from conftest import bell_psi_minus, haar_unitary, loop_partial_transpose, random_density
 
 
 def werner(p: float) -> np.ndarray:
@@ -229,6 +229,90 @@ class TestMinEigenvalueEdgeCases:
                 mc.min_pt_eigenvalue_batch(rhos, (2, 3))
         # a ValueError, so the CLI reports it and exits 1
         assert issubclass(np.linalg.LinAlgError, ValueError)
+
+
+def tridiagonal_oracle(diag, e2):
+    """Smallest eigenvalue and norm of each tridiagonal matrix (diag (d, B),
+    squared off-diagonal (d-1, B)), by LAPACK."""
+    d, batch = diag.shape
+    T = np.zeros((batch, d, d))
+    i = np.arange(d)
+    T[:, i, i] = diag.T
+    T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = np.sqrt(e2.T)
+    w = np.linalg.eigvalsh(T)
+    return w[:, 0], np.abs(w).max(axis=1)
+
+
+def with_spectrum(rng, spectrum, batch=64):
+    """Tridiagonals unitarily similar to U diag(spectrum) U^H, U Haar, by the
+    kernel's own Householder step."""
+    d = len(spectrum)
+    U = np.array([haar_unitary(rng, d) for _ in range(batch)])
+    A = np.moveaxis((U * spectrum) @ U.conj().transpose(0, 2, 1), 0, -1)
+    diag, e2 = mc._tridiagonal(A.real.copy(), A.imag.copy(), mc.Workspace())
+    return diag.copy(), e2.copy()
+
+
+class TestLowestEigenvalue:
+    """The eigenvalue stage on tridiagonals chosen to be hard for it: within
+    the module docstring's few ulps of ||T|| of eigvalsh's value, like the
+    plain bisection, which these cases also hold to (8 ulps; measured at
+    most 5.3 for either)."""
+
+    def check(self, diag, e2):
+        got = mc._lowest_eigenvalue(diag, e2, mc.Workspace())
+        want, norm = tridiagonal_oracle(diag, e2)
+        assert np.all(np.abs(got - want) <= 8 * np.spacing(1.0) * norm)
+        return got
+
+    @pytest.mark.parametrize("gap", 10.0 ** -np.arange(3, 16))
+    def test_small_gaps(self, rng, gap):
+        self.check(*with_spectrum(rng, np.array([0.1, 0.1 + gap, 0.3, 0.5, 0.8, 1.0])))
+
+    def test_exact_multiplicities_take_the_bisection(self, rng, monkeypatch):
+        # two or three copies of one block, split by e2 = 0: l_1 is double or
+        # triple, Newton only halves its distance each step, and every
+        # sample finishes by bisection
+        finished = []
+        bisect = mc._bisect
+
+        def spy(diag, e2, lo, width, steps, *buffers):
+            if steps == mc._BISECTIONS - mc._HALVINGS:
+                finished.append(lo.size)
+            bisect(diag, e2, lo, width, steps, *buffers)
+
+        monkeypatch.setattr(mc, "_bisect", spy)
+        block, e = rng.standard_normal((4, 64)), rng.standard_normal((3, 64)) ** 2
+        cut = np.zeros((1, 64))
+        self.check(np.concatenate([block] * 2), np.concatenate([e, cut, e]))
+        self.check(np.concatenate([block] * 3), np.concatenate([e, cut, e, cut, e]))
+        assert finished == [64, 64]
+
+    def test_decoupled_blocks(self, rng):
+        diag, e2 = rng.standard_normal((7, 64)), rng.standard_normal((6, 64)) ** 2
+        e2[rng.random(e2.shape) < 0.4] = 0.0
+        self.check(diag, e2)
+        # a diagonal matrix: the Gershgorin bound is the answer, exactly
+        assert np.array_equal(self.check(diag, 0.0 * e2), diag.min(axis=0))
+
+    @pytest.mark.parametrize("every", [1, 2], ids=["all", "alternate"])
+    def test_tiny_off_diagonal(self, rng, every):
+        diag, e2 = rng.standard_normal((7, 64)), rng.standard_normal((6, 64)) ** 2
+        e2[::every] = 1e-300
+        self.check(diag, e2)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scales(self, rng, scale):
+        diag, e2 = rng.standard_normal((7, 64)), rng.standard_normal((6, 64)) ** 2
+        self.check(scale * diag, scale ** 2 * e2)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["decreasing", "increasing"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+    def test_graded(self, rng, order, sign):
+        d = 9
+        diag = np.repeat(sign * 10.0 ** -np.arange(d)[::order, None], 64, axis=1)
+        e2 = (10.0 ** -(np.arange(d - 1)[::order, None] + 0.5)) ** 2 * rng.random((d - 1, 64))
+        self.check(diag, e2)
 
 
 class TestMinEigenvalueBatchLayout:
