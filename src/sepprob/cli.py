@@ -2,7 +2,8 @@
 
 Subcommands: sample (run an experiment), analyze (flatness + model fit on
 exported CSVs), formula (evaluate P(alpha)), report (re-emit outputs from
-a checkpoint).  Exit codes: 0 success, 1 validation error, 2 I/O error.
+a checkpoint).  Exit codes: 0 success, 1 validation error, 2 I/O error or
+a command-line usage error (argparse's own exit, as for --fit -5,16,0,1).
 """
 
 from __future__ import annotations
@@ -157,8 +158,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigHashMismatch, formula.DomainError,
-            InsufficientData, ValueError) as exc:
+    except (ValueError, ConfigHashMismatch) as exc:  # ConfigError and the rest are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, CorruptCheckpoint) as exc:

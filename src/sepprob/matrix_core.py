@@ -181,19 +181,6 @@ class Workspace:
                 for a, size, shape in zip(starts, sizes, shapes)]
 
 
-def _pt_planes(rhos: np.ndarray, dims: tuple[int, int],
-               workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the partial transposes over B, each of
-    shape (d, d, B) with the B matrices of the flattened batch last; on
-    batch-last input the copy reads contiguous rows."""
-    d, batch = rhos.shape[-1], math.prod(rhos.shape[:-2])
-    pt = np.moveaxis(_pt_view(rhos.reshape((batch, d, d)), dims), 0, -1)
-    re, im = workspace.take("planes", pt.shape, pt.shape)
-    np.copyto(re, pt.real)
-    np.copyto(im, pt.imag)
-    return re.reshape(d, d, batch), im.reshape(d, d, batch)
-
-
 def _tridiagonal(re: np.ndarray, im: np.ndarray,
                  workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Householder tridiagonalisation of Hermitian matrices re + i*im of
@@ -218,6 +205,7 @@ def _tridiagonal(re: np.ndarray, im: np.ndarray,
         xr, xi = re[k + 1:, k], im[k + 1:, k]
         np.multiply(xr, xr, out=sq)
         sq += np.multiply(xi, xi, out=t)
+        # row by row, here and for v^H p, not np.sum: at B = 1 numpy sums pairwise
         np.copyto(e2[k], sq[0])
         for row in sq[1:]:
             e2[k] += row
@@ -374,8 +362,15 @@ def min_pt_eigenvalue_batch(rhos: np.ndarray, dims: tuple[int, int], *,
     1e150 in modulus, whose squares overflow.
     """
     ws = Workspace() if workspace is None else workspace
+    d, batch = rhos.shape[-1], math.prod(rhos.shape[:-2])
+    # the real and imaginary planes of rho^Gamma, the flattened batch last;
+    # on batch-last input the copy reads contiguous rows
+    pt = np.moveaxis(_pt_view(rhos.reshape((batch, d, d)), dims), 0, -1)
+    re, im = ws.take("planes", pt.shape, pt.shape)
+    np.copyto(re, pt.real)
+    np.copyto(im, pt.imag)
     with np.errstate(invalid="ignore", over="ignore"):  # such input is refused below
-        diag, e2 = _tridiagonal(*_pt_planes(rhos, dims, ws), ws)
+        diag, e2 = _tridiagonal(re.reshape(d, d, batch), im.reshape(d, d, batch), ws)
     if not (np.isfinite(diag).all() and np.isfinite(e2).all()):
         raise np.linalg.LinAlgError("partial transpose has non-finite or overflowing entries")
     return _lowest_eigenvalue(diag, e2, ws).reshape(rhos.shape[:-2])[()]

@@ -90,10 +90,6 @@ def hilbert_schmidt(n: int) -> MeasureSpec:
     return MeasureSpec(n=n, k=n)
 
 
-def induced(n: int, k: int) -> MeasureSpec:
-    return MeasureSpec(n=n, k=k)
-
-
 def _draws(master_seed: int, sub: int, start: int, out: np.ndarray, draw) -> np.ndarray:
     """Fill out, of shape (count, per_sample), with the draws of samples
     [start, start+count) on substream sub; draw(rng, a) fills a

@@ -137,7 +137,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, **overrides) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh), **overrides)
+            try:
+                d = json.load(fh)
+            except RecursionError as exc:
+                raise ConfigError(f"config {path} nests too deeply to parse") from exc
+        return cls.from_dict(d, **overrides)
 
     def config_hash(self) -> str:
         ident = {"dim_a": self.dim_a, "dim_b": self.dim_b, "measure": self.measure,
@@ -231,7 +235,6 @@ def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
     cuts = [start, *range(first_cut, end, SUB_BATCH), end]
     workspace = Workspace()
     for lo, hi in zip(cuts, cuts[1:]):
-        # the states are freed once recorded, before the counting allocates
         rec = record_batch(state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
                            dims, workspace=workspace)
         ppt = rec["ppt"]
@@ -242,18 +245,6 @@ def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
         del rec, ppt  # free this sub-batch before drawing the next
     part.n_total = count
     return part
-
-
-def _split_range(start: int, count: int, parts: int) -> list[tuple[int, int]]:
-    base, rem = divmod(count, parts)
-    out = []
-    pos = start
-    for i in range(parts):
-        c = base + (1 if i < rem else 0)
-        if c:
-            out.append((pos, c))
-        pos += c
-    return out
 
 
 @dataclass
@@ -372,7 +363,8 @@ def load_checkpoint(path, cfg: ExperimentConfig | None = None
         ck_cfg = ExperimentConfig.from_dict(payload["config"])
         ck_hash = payload["config_hash"]
         state = RunState.from_dict(payload, ck_cfg)
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint body in {path}: "
                                 f"{type(exc).__name__}: {exc}") from exc
     # the digest holds, so a hash that disagrees with the file's own config
@@ -397,7 +389,10 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
     try:
         while state.n_total < cfg.samples:
             block = min(cfg.checkpoint_every, cfg.samples - state.n_total)
-            ranges = _split_range(state.n_total, block, cfg.workers)
+            # an even split; a block smaller than the pool leaves some ranges empty
+            edges = [state.n_total + block * i // cfg.workers
+                     for i in range(cfg.workers + 1)]
+            ranges = [(s, e - s) for s, e in zip(edges, edges[1:]) if e > s]
             t0 = time.perf_counter()
             if pool is None:
                 parts = [_range_stats(cfg, s, c) for s, c in ranges]

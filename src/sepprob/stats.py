@@ -118,11 +118,12 @@ def _edge_text(axis: Axis) -> list[str]:
 
 def _count(h, flat: np.ndarray, ok: np.ndarray, ppt: np.ndarray) -> None:
     """Add a batch to histogram h from each sample's flat cell index (valid
-    where ok), in-range mask and PPT flag; the rest go to the overflow tallies."""
+    where ok), in-range mask and PPT flag; the rest go to the overflow tallies.
+    An indexed add in place: cost and memory follow the batch, not the cells."""
     ppt = np.asarray(ppt, dtype=bool)
     hit = ok & ppt
-    h.total += np.bincount(flat[ok], minlength=h.total.size).reshape(h.total.shape)
-    h.hits += np.bincount(flat[hit], minlength=h.hits.size).reshape(h.hits.shape)
+    np.add.at(h.total.reshape(-1), flat[ok], 1)
+    np.add.at(h.hits.reshape(-1), flat[hit], 1)
     h.out_total += ok.size - int(np.count_nonzero(ok))
     h.out_hits += int(np.count_nonzero(ppt)) - int(np.count_nonzero(hit))
 

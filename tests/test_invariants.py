@@ -10,7 +10,7 @@ import pytest
 
 from sepprob import invariants as inv
 from sepprob import matrix_core as mc
-from sepprob.random_states import STREAM_VERSION, hilbert_schmidt, induced, state_batch
+from sepprob.random_states import STREAM_VERSION, MeasureSpec, hilbert_schmidt, state_batch
 from sepprob.runner import ExperimentConfig, RunState
 from conftest import (bell_psi_minus, haar_unitary, loop_partial_transpose,
                       random_density)
@@ -310,7 +310,7 @@ class TestRecord:
                               (haar_unitary(rng, dims[0])[0], haar_unitary(rng, dims[1])[0])))
                     for _ in range(20)]
         rhos = np.concatenate([state_batch(hilbert_schmidt(d), 5, 0, 2_000),
-                               state_batch(induced(d, 1), 5, 0, 2_000),
+                               state_batch(MeasureSpec(d, 1), 5, 0, 2_000),
                                products, [np.eye(d) / d]])
         rec = inv.record_batch(rhos, dims)
         for lb in inv.axis_labels(dims):
@@ -323,7 +323,7 @@ class TestRecord:
         # c2 and r rounded above 1 would land in the overflow tally instead
         # of the closed last bin
         dims = (dim_a, 1)
-        rec = inv.record_batch(state_batch(induced(dim_a, 1), 1, 0, 20_000), dims)
+        rec = inv.record_batch(state_batch(MeasureSpec(dim_a, 1), 1, 0, 20_000), dims)
         cfg = ExperimentConfig(dim_a=dim_a, dim_b=1, measure="induced", k=1)
         for lb, axis in cfg.axes().items():
             assert axis.indices(rec[lb])[1].all(), lb
@@ -357,7 +357,7 @@ class TestRecordBatchLayout:
     @pytest.mark.parametrize("dims,k", [((2, 2), 4), ((2, 3), 6), ((3, 3), 9), ((2, 3), 9)],
                              ids=["hs-2x2", "hs-2x3", "hs-3x3", "induced-2x3-k9"])
     def test_bit_identical_across_layouts(self, dims, k):
-        measure = induced(dims[0] * dims[1], k)
+        measure = MeasureSpec(dims[0] * dims[1], k)
         rhos = state_batch(measure, 5, 0, 8192)
         whole = inv.record_batch(rhos, dims)
         parts = [(inv.record_batch(np.ascontiguousarray(rhos), dims), slice(None)),
@@ -380,7 +380,7 @@ class TestWorkspace:
                              ids=["hs-2x2", "hs-2x3", "hs-3x3", "hs-2x4",
                                   "induced-2x3-k2", "induced-2x3-k9"])
     def test_bit_identical_to_the_default_path(self, dims, k):
-        measure = induced(dims[0] * dims[1], k)
+        measure = MeasureSpec(dims[0] * dims[1], k)
         ws = mc.Workspace()
         kept, start = [], 100
         for count in (8192, 848, 1):

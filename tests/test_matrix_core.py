@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepprob import matrix_core as mc
-from sepprob.random_states import hilbert_schmidt, induced, state_batch
+from sepprob.random_states import MeasureSpec, hilbert_schmidt, state_batch
 from conftest import bell_psi_minus, haar_unitary, loop_partial_transpose, random_density
 
 
@@ -112,7 +112,7 @@ class TestMinEigenvalueAgreesWithLapack:
             assert np.array_equal(got >= -mc.PPT_TOL, w[:, 0] >= -mc.PPT_TOL)
 
     def test_induced_states(self):
-        rhos = state_batch(induced(6, 4), 78, 0, 50_000)
+        rhos = state_batch(MeasureSpec(6, 4), 78, 0, 50_000)
         got = mc.min_pt_eigenvalue_batch(rhos, (2, 3))
         w = oracle_spectrum(rhos, (2, 3))
         assert np.abs(got - w[:, 0]).max() <= 1e-14

@@ -11,11 +11,11 @@ from sepprob.stats import chi2_sf
 class TestMeasureSpec:
     def test_constructors(self):
         assert rs.hilbert_schmidt(6) == rs.MeasureSpec(6, 6)
-        assert rs.induced(6, 9).k == 9
+        assert rs.MeasureSpec(6, 9).k == 9
 
     def test_positive_dims(self):
         with pytest.raises(ValueError):
-            rs.induced(0, 3)
+            rs.MeasureSpec(0, 3)
 
 
 class TestDeterminism:
@@ -26,7 +26,7 @@ class TestDeterminism:
 
     def test_batch_matches_singles_across_chunk_boundary(self):
         start = rs.CHUNK_SAMPLES - 5
-        for measure in (rs.hilbert_schmidt(6), rs.induced(6, 2), rs.induced(3, 7)):
+        for measure in (rs.hilbert_schmidt(6), rs.MeasureSpec(6, 2), rs.MeasureSpec(3, 7)):
             batch = rs.state_batch(measure, 99, start, 10)
             for i in range(10):
                 single = rs.state_batch(measure, 99, start + i, 1)
@@ -35,7 +35,7 @@ class TestDeterminism:
     def test_partition_independence(self):
         # any split of an index range reproduces the same states bit-for-bit:
         # splits inside a chunk (1000, 4500, 4501) and across its end (4096)
-        for measure in (rs.hilbert_schmidt(4), rs.induced(6, 2), rs.induced(3, 7)):
+        for measure in (rs.hilbert_schmidt(4), rs.MeasureSpec(6, 2), rs.MeasureSpec(3, 7)):
             whole = rs.state_batch(measure, 5, 0, 10_000)
             pieces = [rs.state_batch(measure, 5, s, c) for s, c in
                       ((0, 1_000), (1_000, 3_500), (4_500, 1), (4_501, 5_499))]
@@ -129,7 +129,7 @@ class TestGinibreDistribution:
 
 class TestSampleState:
     def test_trivial_one_dimensional(self):
-        rho = rs.state_batch(rs.induced(1, 4), 3, 0, 1)
+        rho = rs.state_batch(rs.MeasureSpec(1, 4), 3, 0, 1)
         assert np.allclose(rho, [[[1.0]]], atol=1e-15)
 
     def test_density_invariants(self):
@@ -168,7 +168,7 @@ class TestSampleState:
 
     def test_induced_more_mixed_than_hs(self):
         hs = rs.state_batch(rs.hilbert_schmidt(6), 5, 0, 50_000)
-        ind = rs.state_batch(rs.induced(6, 9), 5, 0, 50_000)
+        ind = rs.state_batch(rs.MeasureSpec(6, 9), 5, 0, 50_000)
         p_hs = np.einsum("sij,sji->s", hs, hs).real.mean()
         p_ind = np.einsum("sij,sji->s", ind, ind).real.mean()
         assert p_ind < p_hs
@@ -212,7 +212,7 @@ class TestLaw:
 
     @pytest.mark.parametrize("n,k,count", CASES)
     def test_mean_state(self, n, k, count):
-        rhos = rs.state_batch(rs.induced(n, k), 31, 0, count)
+        rhos = rs.state_batch(rs.MeasureSpec(n, k), 31, 0, count)
         mean = rhos.mean(axis=0)
         # a complex entry's std is the rms of |x - mean|, at least either part's
         err = rhos.std(axis=0) / np.sqrt(count)
@@ -223,7 +223,7 @@ class TestLaw:
         nk = n * k
         want2 = (n + k) / (nk + 1)
         want3 = (n * n + k * k + 3 * nk + 1) / ((nk + 1) * (nk + 2))
-        tr2, tr3 = power_traces(rs.state_batch(rs.induced(n, k), 32, 0, count))
+        tr2, tr3 = power_traces(rs.state_batch(rs.MeasureSpec(n, k), 32, 0, count))
         for got, want in ((tr2, want2), (tr3, want3)):
             assert abs(got.mean() - want) < 4 * got.std() / np.sqrt(count)
 
@@ -234,7 +234,7 @@ class TestLaw:
         G = rs.ginibre_batch(n, k, 33, 0, count)
         M = G @ G.conj().transpose(0, 2, 1)
         M /= np.trace(M, axis1=1, axis2=2).real[:, None, None]
-        a = np.abs(rs.state_batch(rs.induced(n, k), 34, 0, count)) ** 2
+        a = np.abs(rs.state_batch(rs.MeasureSpec(n, k), 34, 0, count)) ** 2
         b = np.abs(M) ** 2
         se = np.sqrt((a.var(axis=0) + b.var(axis=0)) / count)
         assert (np.abs(a.mean(axis=0) - b.mean(axis=0)) < 4.5 * se).all()

@@ -222,12 +222,14 @@ class TestRunExperiment:
         assert np.array_equal(rep.joint.total.sum(axis=0), rep.hists["R_B"].total)
 
     def test_worker_count_independence(self, tmp_path):
-        reps = [rn.run_experiment(small_cfg(tmp_path / str(w), samples=10_000,
-                                            workers=w))
-                for w in (1, 2)]
-        assert reps[0].n_ppt == reps[1].n_ppt
-        assert hist_state_dict(reps[0]) == hist_state_dict(reps[1])
-        assert encode_histogram(reps[0].joint) == encode_histogram(reps[1].joint)
+        # an even split, and one that leaves a remainder for some range
+        for samples, workers in ((10_000, 2), (10_001, 3)):
+            reps = [rn.run_experiment(small_cfg(tmp_path / f"{samples}-{w}",
+                                                samples=samples, workers=w))
+                    for w in (1, workers)]
+            assert reps[0].n_ppt == reps[1].n_ppt
+            assert hist_state_dict(reps[0]) == hist_state_dict(reps[1])
+            assert encode_histogram(reps[0].joint) == encode_histogram(reps[1].joint)
 
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(cuts=st.lists(st.integers(5_001, 5_000 + 3 * rn.SUB_BATCH + 122),
@@ -785,7 +787,8 @@ class TestCli:
                                         "negative_elapsed", "negative_total",
                                         "hits_above_total", "out_hits_above_total",
                                         "list_joint", "counts_not_n_total",
-                                        "hits_not_n_ppt", "counts_wrap"])
+                                        "hits_not_n_ppt", "counts_wrap",
+                                        "deep_nesting"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
@@ -832,7 +835,9 @@ class TestCli:
                   # cells summing to 2**64 more than n_total, which an int64
                   # or a uint64 sum would wrap back to n_total
                   "counts_wrap": with_joint(total=packed(
-                      [2 ** 63 - 1, 2 ** 63 - 1, sum(total[:3]) + 2, *total[3:]]))}
+                      [2 ** 63 - 1, 2 ** 63 - 1, sum(total[:3]) + 2, *total[3:]])),
+                  # past the JSON parser's recursion limit
+                  "deep_nesting": b"[" * 200_000 + b"]" * 200_000}
         if damage == "truncated":
             ck.write_bytes(data[:-1])
         elif damage == "flipped":
@@ -853,6 +858,26 @@ class TestCli:
         assert cli.main(["sample", "--config", str(path),
                          "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_config_exit_code(self, tmp_path, capsys):
+        # past the JSON parser's recursion limit
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert cli.main(["sample", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: config {path} nests too deeply to parse\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--no-such-flag"],
+        # argparse reads a value that starts with '-' as a flag
+        ["analyze", "--in", ".", "--fit", "-5,16,0,1"]], ids=["unknown_flag", "dash_value"])
+    def test_usage_error_exit_code(self, capsys, argv):
+        # argparse's own exit: 2, like an I/O error, with usage on stderr
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: sepprob")
 
     @pytest.mark.parametrize("config", [
         {"dim_a": "2", "dim_b": 3}, {"dim_a": 2, "dim_b": 3, "samples": 100.5},

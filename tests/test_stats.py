@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 from statistics import NormalDist
 
@@ -457,6 +459,96 @@ class TestJointHistogram:
         j.to_csv(tmp_path / "joint.csv")
         joint_csv_oracle(j, tmp_path / "oracle.csv")
         assert (tmp_path / "joint.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def awkward_values(rng, axis: st.Axis, n: int) -> np.ndarray:
+    """Values over axis and a tenth of its span beyond each end, a sixth of
+    them each exactly lo, exactly hi, NaN, and one of three repeated values."""
+    span = axis.hi - axis.lo
+    v = rng.uniform(axis.lo - 0.1 * span, axis.hi + 0.1 * span, n)
+    pick = rng.integers(0, 6, n)
+    v[pick == 0] = axis.lo
+    v[pick == 1] = axis.hi
+    v[pick == 2] = np.nan
+    v[pick == 3] = rng.choice(axis.lo + span * np.array([0.0, 0.37, 0.999]), n)[pick == 3]
+    return v
+
+
+def count_oracle(axes, columns, ppt) -> tuple[Counter, Counter, int, int]:
+    """The counts of one sample at a time: (cell totals, cell hits,
+    out_total, out_hits), a cell being a tuple of bin indices."""
+    total, hits = Counter(), Counter()
+    out_total = out_hits = 0
+    for i, flag in enumerate(ppt.tolist()):
+        cell = []
+        for ax, col in zip(axes, columns):
+            v = float(col[i])
+            if not ax.lo <= v <= ax.hi:  # NaN included
+                break
+            # half-open bins, the last one closed at hi
+            cell.append(min(math.floor((v - ax.lo) / ax.width), ax.bins - 1))
+        if len(cell) < len(axes):
+            out_total += 1
+            out_hits += flag
+        else:
+            total[tuple(cell)] += 1
+            hits[tuple(cell)] += flag
+    return total, hits, out_total, out_hits
+
+
+def cell_counts(counts: np.ndarray) -> Counter:
+    return Counter({tuple(map(int, c)): int(counts[tuple(c)])
+                    for c in np.argwhere(counts)})
+
+
+class TestCountingRule:
+    """accumulate_many against a per-sample loop, over every bin count the
+    runs use up to the cap."""
+
+    @pytest.mark.parametrize("bins", [1, 100, 500, MAX_BINS])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # NaN
+    def test_pair_matches_loop_oracle(self, rng, bins):
+        h = st.HistogramPair(axis=st.Axis("c3", -1 / math.sqrt(3), 1 / math.sqrt(3), bins))
+        batches = [(awkward_values(rng, h.axis, n), rng.random(n) < 0.4)
+                   for n in (3000, 1000)]
+        for values, ppt in batches:
+            h.accumulate_many(values, ppt)
+        values, ppt = (np.concatenate(c) for c in zip(*batches))
+        total, hits, out_total, out_hits = count_oracle([h.axis], [values], ppt)
+        assert max(total.values()) > 100  # cells counted many times in one call
+        assert (cell_counts(h.total), cell_counts(h.hits)) == (total, hits)
+        assert (h.out_total, h.out_hits) == (out_total, out_hits)
+
+    @pytest.mark.parametrize("bins", [1, 100, 500, MAX_BINS])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # NaN
+    def test_joint_matches_loop_oracle(self, rng, bins):
+        j = st.JointHistogram(axis_x=unit_axis("r_A", bins),
+                              axis_y=st.Axis("C002", 0.0, 3.0, bins))
+        batches = [(awkward_values(rng, j.axis_x, n), awkward_values(rng, j.axis_y, n),
+                    rng.random(n) < 0.4) for n in (3000, 1000)]
+        for xs, ys, ppt in batches:
+            j.accumulate_many(xs, ys, ppt)
+        xs, ys, ppt = (np.concatenate(c) for c in zip(*batches))
+        total, hits, out_total, out_hits = count_oracle([j.axis_x, j.axis_y], [xs, ys], ppt)
+        assert max(total.values()) > 10
+        assert (cell_counts(j.total), cell_counts(j.hits)) == (total, hits)
+        assert (j.out_total, j.out_hits) == (out_total, out_hits)
+
+    def test_joint_count_at_the_cap_allocates_by_the_batch(self, rng):
+        # a count at MAX_BINS adds into the 32 MiB layers it has; a dense
+        # per-call count array of bins**2 cells would be 32 MiB more
+        j = st.JointHistogram(axis_x=unit_axis("r_A", MAX_BINS),
+                              axis_y=unit_axis("R_B", MAX_BINS))
+        xs, ys, ppt = rng.random(8192), rng.random(8192), rng.random(8192) < 0.25
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            j.accumulate_many(xs, ys, ppt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 2 ** 20
+        assert (int(j.total.sum()), int(j.hits.sum())) == (8192, int(ppt.sum()))
 
 
 class TestCountCodec:
