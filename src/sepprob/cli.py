@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import formula
@@ -27,12 +28,13 @@ def _parse_shape(text: str) -> tuple[int, int]:
         raise ConfigError(f"shape must look like 2x3, got {text!r}")
 
 
-def _parse_measure(text: str) -> tuple[str, int | None]:
+def _parse_measure(text: str) -> int | None:
+    """The ancilla dimension K of 'induced:K'; None for 'hs'."""
     if text == "hs":
-        return "hs", None
+        return None
     if text.startswith("induced:"):
         try:
-            return "induced", int(text.split(":", 1)[1])
+            return int(text.split(":", 1)[1])
         except ValueError:
             pass
     raise ConfigError(f"measure must be 'hs' or 'induced:K', got {text!r}")
@@ -45,13 +47,14 @@ def _cmd_sample(args) -> int:
     if args.shape:
         overrides["dim_a"], overrides["dim_b"] = _parse_shape(args.shape)
     if args.measure:
-        overrides["measure"], overrides["k"] = _parse_measure(args.measure)
-    if args.symmetrize:
-        overrides["symmetrize"] = True
+        overrides["k"] = _parse_measure(args.measure)
     if args.config:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
     else:
         cfg = ExperimentConfig.from_dict({}, **overrides)
+    if args.measure == "hs":
+        # HS is k = dim_a*dim_b, whatever k a config file holds
+        cfg = replace(cfg, k=cfg.n)
     state = None
     ck = checkpoint_path(cfg.out_dir)
     if args.resume and ck.exists():
@@ -121,13 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="run a sampling experiment")
     s.add_argument("--shape", help="bipartition, e.g. 2x3")
-    s.add_argument("--measure", help="hs or induced:K")
+    s.add_argument("--measure", help="hs or induced:K (hs is induced:dim_a*dim_b)")
     s.add_argument("--samples", type=int)
     s.add_argument("--seed", type=int)
     s.add_argument("--workers", type=int)
     s.add_argument("--bins", type=int)
     s.add_argument("--out", help="output directory")
-    s.add_argument("--symmetrize", action="store_true")
     s.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     s.add_argument("--config", help="JSON config file; flags override")
     s.add_argument("--resume", action="store_true",

@@ -27,7 +27,7 @@ import numpy as np
 from .invariants import AXIS_RANGES, axis_labels, record_batch
 from .matrix_core import Workspace
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
-from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData, _merged,
+from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
                     ratio_with_ci, read_count)
 
@@ -64,35 +64,29 @@ class CorruptCheckpoint(RuntimeError):
 class ExperimentConfig:
     dim_a: int
     dim_b: int
-    measure: str = "hs"          # "hs" or "induced"
-    k: int | None = None         # ancilla dimension; defaults to dim_a*dim_b for hs
+    # ancilla dimension of the induced measure; None means dim_a*dim_b, which
+    # is the Hilbert-Schmidt measure
+    k: int | None = None
     samples: int = 1_000_000
     seed: int = 0
     bins: int = 100
     workers: int = 1
     checkpoint_every: int = 2_000_000
     out_dir: str = "results"
-    symmetrize: bool = False
 
     def __post_init__(self):
-        # every field is an int (k may be None) but these; a bool is no int here
-        kinds = {"measure": str, "out_dir": str, "symmetrize": bool}
+        # every field is an int (k may be None) but out_dir; a bool is no int here
         for name, value in vars(self).items():
-            kind = kinds.get(name, int)
+            kind = str if name == "out_dir" else int
             if type(value) is not kind and not (name == "k" and value is None):
                 raise ConfigError(f"{name} must be {kind.__name__}, got {value!r}")
         n = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1 or n < 2:
             raise ConfigError(f"invalid shape {self.dim_a}x{self.dim_b}")
-        if self.measure not in ("hs", "induced"):
-            raise ConfigError(f"measure must be 'hs' or 'induced', got {self.measure!r}")
-        if self.measure == "hs":
-            if self.k is None:
-                self.k = n
-            elif self.k != n:
-                raise ConfigError("hs measure fixes k = dim_a*dim_b")
-        elif self.k is None or self.k < 1:
-            raise ConfigError("induced measure needs an ancilla dimension k >= 1")
+        if self.k is None:
+            self.k = n
+        elif self.k < 1:
+            raise ConfigError(f"ancilla dimension k must be >= 1, got {self.k}")
         if self.samples < 1:
             raise ConfigError("samples must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -106,8 +100,6 @@ class ExperimentConfig:
             raise ConfigError("checkpoint_every must be >= 1")
         if not 1 <= self.bins <= MAX_BINS:
             raise ConfigError(f"bins must be in [1, {MAX_BINS}], got {self.bins}")
-        if self.symmetrize and self.dim_a != self.dim_b:
-            raise ConfigError("symmetrize requires dim_a == dim_b")
 
     @property
     def n(self) -> int:
@@ -144,9 +136,8 @@ class ExperimentConfig:
         return cls.from_dict(d, **overrides)
 
     def config_hash(self) -> str:
-        ident = {"dim_a": self.dim_a, "dim_b": self.dim_b, "measure": self.measure,
-                 "k": self.k, "samples": self.samples, "seed": self.seed,
-                 "bins": self.bins, "symmetrize": self.symmetrize,
+        ident = {"dim_a": self.dim_a, "dim_b": self.dim_b, "k": self.k,
+                 "samples": self.samples, "seed": self.seed, "bins": self.bins,
                  "stream_version": STREAM_VERSION}
         blob = json.dumps(ident, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -299,7 +290,9 @@ def _report_fits(cfg: ExperimentConfig, hists: dict) -> dict:
                            "scale": scale, "max_rel_residual": resid}
         except InsufficientData:
             pass
-    if cfg.dim_b == 3 and cfg.measure == "hs":
+    # the paper's model for the qutrit of the qubit-qutrit HS state, an
+    # induced qutrit with ancilla 12
+    if (cfg.dim_a, cfg.dim_b, cfg.k) == (2, 3, 6):
         try:
             scale, resid = fit_scale(hists["R_B"], 7, 32, fit_range=(0.0, 0.5))
             fits["R_B"] = {"a": 7, "b": 32, "range": [0.0, 0.5],
@@ -428,9 +421,6 @@ def export(report: ExperimentReport, out_dir=None) -> list[Path]:
            lambda p: p.write_text(json.dumps(report.to_dict(), indent=2)))
     for lb, h in report.hists.items():
         _write(f"{lb}.csv", h.to_csv)
-    if report.config.symmetrize:
-        # both radii of a d x d state, pooled on r_A's axis
-        _write("R_sym.csv", _merged(report.hists["r_A"], report.hists["R_B"]).to_csv)
     _write("joint_r_R.csv", report.joint.to_csv)
     lines = []
     for p in written:

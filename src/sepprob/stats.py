@@ -63,7 +63,10 @@ class Axis:
         """(bin indices, in-range mask); values == hi land in the last bin."""
         values = np.asarray(values, dtype=float)
         ok = (values >= self.lo) & (values <= self.hi)
-        idx = np.floor((values - self.lo) / self.width).astype(np.int64)
+        # out-of-range values, NaN and +-inf among them, are binned as lo:
+        # numpy warns on casting a non-finite float
+        binned = np.where(ok, values, self.lo)
+        idx = np.floor((binned - self.lo) / self.width).astype(np.int64)
         np.clip(idx, 0, self.bins - 1, out=idx)
         return idx, ok
 

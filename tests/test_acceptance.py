@@ -88,8 +88,8 @@ def test_criterion_5_qubit_qudit_ppt(tmp_path_factory):
 
 
 def test_criterion_6_induced_measure(tmp_path_factory):
-    rep = run(tmp_path_factory, "ind_2x3", dim_a=2, dim_b=3,
-              measure="induced", k=9, samples=10 ** 6, seed=4004)
+    rep = run(tmp_path_factory, "ind_2x3", dim_a=2, dim_b=3, k=9,
+              samples=10 ** 6, seed=4004)
     p = rep.n_ppt / rep.n_total
     check("6", "induced-measure (K=9) qubit-qutrit probability in "
           "0.2605 +/- 0.0018", abs(p - 0.2605) <= 0.0018, f"p_hat={p:.5f}")
@@ -101,8 +101,8 @@ def test_criterion_6b_induced_two_qubit_exact(tmp_path_factory, k, exact):
     # the conjectured rational values of Slater and Dunkl, Adv. Math. Phys.
     # 2015, 621353
     p_exact = exact[0] / exact[1]
-    rep = run(tmp_path_factory, f"ind_2x2_k{k}", dim_a=2, dim_b=2,
-              measure="induced", k=k, samples=2 * 10 ** 6, seed=11)
+    rep = run(tmp_path_factory, f"ind_2x2_k{k}", dim_a=2, dim_b=2, k=k,
+              samples=2 * 10 ** 6, seed=11)
     p = rep.n_ppt / rep.n_total
     z = (p - p_exact) / np.sqrt(p_exact * (1 - p_exact) / rep.n_total)
     check("6b", f"induced-measure (K={k}) two-qubit probability within 4 sigma "

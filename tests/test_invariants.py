@@ -324,7 +324,7 @@ class TestRecord:
         # of the closed last bin
         dims = (dim_a, 1)
         rec = inv.record_batch(state_batch(MeasureSpec(dim_a, 1), 1, 0, 20_000), dims)
-        cfg = ExperimentConfig(dim_a=dim_a, dim_b=1, measure="induced", k=1)
+        cfg = ExperimentConfig(dim_a=dim_a, dim_b=1, k=1)
         for lb, axis in cfg.axes().items():
             assert axis.indices(rec[lb])[1].all(), lb
         assert (rec["c2_A"] == 1.0).mean() > 0.5

@@ -81,6 +81,14 @@ def write_parent_format(path, cfg, state):
     path.write_text(json.dumps(payload))
 
 
+def with_parent_config(payload: dict) -> dict:
+    """A checkpoint body as written while the config also held the measure
+    name and the symmetrize switch."""
+    cfg = payload["config"]
+    measure = "hs" if cfg["k"] == cfg["dim_a"] * cfg["dim_b"] else "induced"
+    return {**payload, "config": {**cfg, "measure": measure, "symmetrize": False}}
+
+
 def write_with_digest(path, body: bytes):
     """A checkpoint whose digest line matches the given body."""
     path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
@@ -98,14 +106,11 @@ def run_states(draw, out_dir):
     that obey 0 <= hits <= total and n_ppt <= n_total <= samples, and in
     every histogram sum to n_total (totals) and n_ppt (hits)."""
     dim_a, dim_b = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]))
-    induced = draw(st.booleans())
     cfg = rn.ExperimentConfig(
-        dim_a=dim_a, dim_b=dim_b, measure="induced" if induced else "hs",
-        k=draw(st.integers(1, 64)) if induced else None,
+        dim_a=dim_a, dim_b=dim_b, k=draw(st.none() | st.integers(1, 64)),
         samples=draw(st.integers(1, 2 ** 62)), seed=draw(st.integers(0, 2 ** 64 - 1)),
         bins=draw(st.integers(1, 12)), workers=draw(st.integers(1, 64)),
-        checkpoint_every=draw(st.integers(1, 2 ** 40)), out_dir=out_dir,
-        symmetrize=dim_a == dim_b and draw(st.booleans()))
+        checkpoint_every=draw(st.integers(1, 2 ** 40)), out_dir=out_dir)
     state = rn.RunState.fresh(cfg)
     state.n_total = draw(st.integers(0, cfg.samples))
     state.n_ppt = draw(st.integers(0, state.n_total))
@@ -142,23 +147,29 @@ class TestConfig:
             small_cfg(tmp_path, samples=0)
 
     def test_rejects_bad_measure(self, tmp_path):
-        with pytest.raises(rn.ConfigError):
-            small_cfg(tmp_path, measure="bures")
+        # k alone names the measure; the retired measure and symmetrize keys
+        # are refused, not converted
+        for key, value in (("measure", "hs"), ("measure", "bures"), ("symmetrize", False)):
+            with pytest.raises(rn.ConfigError, match=f"unknown config keys: \\['{key}'\\]"):
+                rn.ExperimentConfig.from_dict({"dim_a": 2, "dim_b": 3, key: value})
 
     def test_hs_fixes_k(self, tmp_path):
+        # k = None is the HS measure, k = dim_a*dim_b; any other k >= 1 is induced
         assert small_cfg(tmp_path).k == 6
-        with pytest.raises(rn.ConfigError):
-            small_cfg(tmp_path, k=9)
+        assert small_cfg(tmp_path, k=9).k == 9
+
+    def test_hs_is_induced_with_k_n(self, tmp_path):
+        # one measure, one field and one config hash
+        hs, k_n = small_cfg(tmp_path), small_cfg(tmp_path, k=6)
+        assert hs == k_n and hs.config_hash() == k_n.config_hash()
+        assert list(hs.to_dict()) == ["dim_a", "dim_b", "k", "samples", "seed", "bins",
+                                      "workers", "checkpoint_every", "out_dir"]
 
     def test_induced_needs_k(self, tmp_path):
-        with pytest.raises(rn.ConfigError):
-            small_cfg(tmp_path, measure="induced")
-        assert small_cfg(tmp_path, measure="induced", k=9).k == 9
-
-    def test_symmetrize_needs_square_shape(self, tmp_path):
-        with pytest.raises(rn.ConfigError):
-            small_cfg(tmp_path, symmetrize=True)
-        small_cfg(tmp_path, dim_b=2, symmetrize=True)
+        for k in (0, -1):
+            with pytest.raises(rn.ConfigError, match="k must be >= 1"):
+                small_cfg(tmp_path, k=k)
+        assert small_cfg(tmp_path, k=1).k == 1
 
     def test_axis_labels_by_shape(self, tmp_path):
         assert list(small_cfg(tmp_path).axes()) == \
@@ -190,12 +201,13 @@ class TestConfig:
             small_cfg(tmp_path, workers=rn.MAX_WORKERS + 1)
 
     def test_matrix_size_cap(self, tmp_path):
-        # n*max(n, k) bounds both G (n x k) and the state (n x n)
+        # n*max(n, k) bounds the state (n x n) and, through n <= 32, the
+        # workspace; k itself adds no memory
         cap = rn.MAX_MATRIX_ENTRIES
-        small_cfg(tmp_path, dim_b=2, measure="induced", k=cap // 4)
+        small_cfg(tmp_path, dim_b=2, k=cap // 4)
         for dims, k in (((2, 2), cap // 4 + 1), ((3, 11), 1)):
             with pytest.raises(rn.ConfigError, match="n\\*max\\(n, k\\) must be"):
-                small_cfg(tmp_path, dim_a=dims[0], dim_b=dims[1], measure="induced", k=k)
+                small_cfg(tmp_path, dim_a=dims[0], dim_b=dims[1], k=k)
 
     def test_hash_sensitivity(self, tmp_path):
         a = small_cfg(tmp_path)
@@ -259,11 +271,22 @@ class TestRunExperiment:
     def test_induced_qubit_radius_fit(self, tmp_path, k, b):
         # rho_A of an induced 2x3 state is an induced qubit state with ancilla
         # 3k: r^2 (1 - r^2)^(3k - 2); the HS exponent 16 left residuals near 34
-        rep = rn.run_experiment(small_cfg(tmp_path, measure="induced", k=k,
-                                          samples=50_000, seed=3))
+        rep = rn.run_experiment(small_cfg(tmp_path, k=k, samples=50_000, seed=3))
         fit = rep.fits["r_A"]
         assert (fit["a"], fit["b"]) == (2, b)
         assert fit["max_rel_residual"] < 0.3
+
+    @pytest.mark.parametrize("shape, k, fitted", [
+        ((2, 3), 6, ["r_A", "R_B"]), ((2, 3), 9, ["r_A"]), ((3, 3), None, []),
+        ((3, 3), 6, [])], ids=["2x3-k6", "2x3-k9", "3x3-hs", "3x3-k6"])
+    def test_qutrit_radius_fit_only_for_its_system(self, tmp_path, shape, k, fitted):
+        # the paper's R^7 (1 - R^2)^32 was drawn for the qutrit of the 2x3 HS
+        # state; a 3x3 HS run once reported a fit to it, 2x3 induced:6 none
+        cfg = small_cfg(tmp_path, dim_a=shape[0], dim_b=shape[1], k=k)
+        state = rn.RunState.fresh(cfg)
+        for h in state.hists.values():
+            h.total[:] = 10 ** 4
+        assert list(rn.assemble_report(cfg, state).fits) == fitted
 
     def test_two_qubit_probability_sane(self, tmp_path):
         rep = rn.run_experiment(small_cfg(tmp_path, dim_b=2, samples=50_000))
@@ -551,19 +574,10 @@ class TestExport:
             digest, name = line.split()
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
-    def test_symmetrized_export(self, tmp_path):
-        cfg = small_cfg(tmp_path, dim_b=2, samples=5_000, symmetrize=True)
-        rep = rn.run_experiment(cfg)
-        rn.export(rep)
-        out = tmp_path / "run"
-        assert (out / "R_sym.csv").exists()
-        sym = HistogramPair.from_csv(out / "R_sym.csv")
-        merged = rep.hists["r_A"].total + rep.hists["R_B"].total
-        assert np.array_equal(sym.total, merged)
-
-    def test_symmetrized_export_counts_each_sample_once(self, tmp_path):
-        # joint_r_R.csv was once written as J + J^T, which counts every sample twice
-        cfg = small_cfg(tmp_path, dim_a=3, dim_b=3, samples=4_000, symmetrize=True)
+    def test_joint_export_counts_each_sample_once(self, tmp_path):
+        # joint_r_R.csv of a square shape was once written as J + J^T, which
+        # counts every sample twice
+        cfg = small_cfg(tmp_path, dim_a=3, dim_b=3, samples=4_000)
         rep = rn.run_experiment(cfg)
         rn.export(rep)
         out = tmp_path / "run"
@@ -573,21 +587,14 @@ class TestExport:
         joint = out / "joint.csv"
         rep.joint.to_csv(joint)
         assert (out / "joint_r_R.csv").read_bytes() == joint.read_bytes()
-        sym = HistogramPair.from_csv(out / "R_sym.csv")
-        r_a, r_b = rep.hists["r_A"], rep.hists["R_B"]
-        assert sym.axis == r_a.axis
-        assert np.array_equal(sym.total, r_a.total + r_b.total)
-        assert np.array_equal(sym.hits, r_a.hits + r_b.hits)
-        assert (sym.out_total, sym.out_hits) == (r_a.out_total + r_b.out_total,
-                                                 r_a.out_hits + r_b.out_hits)
+        assert not (out / "R_sym.csv").exists()
 
     @pytest.mark.parametrize("bins", [1, 100, rn.MAX_BINS])
     @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (2, 3), (3, 3), (2, 4)],
                              ids=lambda s: f"{s[0]}x{s[1]}")
     def test_every_axis_csv_loads(self, tmp_path, rng, shape, bins):
         # counts in every axis and overflow, on every bin edge an export writes
-        cfg = small_cfg(tmp_path, dim_a=shape[0], dim_b=shape[1], bins=bins,
-                        symmetrize=shape[0] == shape[1])
+        cfg = small_cfg(tmp_path, dim_a=shape[0], dim_b=shape[1], bins=bins)
         state = rn.RunState.fresh(cfg)
         n = 3_000
         ppt = rng.random(n) < 0.3
@@ -598,12 +605,7 @@ class TestExport:
         state.n_total, state.n_ppt = n, int(ppt.sum())
         names = {p.name for p in rn.export(rn.assemble_report(cfg, state))}
         expected = {f"{lb}.csv": h for lb, h in state.hists.items()}
-        if cfg.symmetrize:
-            r_a, r_b = state.hists["r_A"], state.hists["R_B"]
-            expected["R_sym.csv"] = HistogramPair(
-                r_a.axis, r_a.total + r_b.total, r_a.hits + r_b.hits,
-                r_a.out_total + r_b.out_total, r_a.out_hits + r_b.out_hits)
-        assert set(expected) <= names
+        assert names == {*expected, "report.json", "joint_r_R.csv", "MANIFEST"}
         for name, h in expected.items():
             back = HistogramPair.from_csv(Path(cfg.out_dir) / name)
             assert back.axis == h.axis, name
@@ -871,7 +873,10 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["sample", "--no-such-flag"],
         # argparse reads a value that starts with '-' as a flag
-        ["analyze", "--in", ".", "--fit", "-5,16,0,1"]], ids=["unknown_flag", "dash_value"])
+        ["analyze", "--in", ".", "--fit", "-5,16,0,1"],
+        # a flag of an earlier format
+        ["sample", "--shape", "3x3", "--symmetrize"]],
+        ids=["unknown_flag", "dash_value", "retired_symmetrize"])
     def test_usage_error_exit_code(self, capsys, argv):
         # argparse's own exit: 2, like an I/O error, with usage on stderr
         with pytest.raises(SystemExit) as exc:
@@ -889,11 +894,65 @@ class TestCli:
                          "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_hs_and_induced_n_are_one_run(self, tmp_path, capsys):
+        # --measure hs and induced:6 once wrote two config hashes and two fits
+        runs = {}
+        for measure in ("hs", "induced:6"):
+            out = tmp_path / measure.replace(":", "")
+            assert cli.main(["sample", "--shape", "2x3", "--measure", measure,
+                             "--samples", "20000", "--seed", "9", "--out", str(out)]) == 0
+            runs[measure] = {p.name: p.read_bytes() for p in out.iterdir()}
+        hs, k6 = runs.values()
+        assert sorted(hs) == sorted(k6)
+        for name in hs:
+            if name.endswith(".csv"):
+                assert hs[name] == k6[name], name
+        reports = [json.loads(files["report.json"]) for files in (hs, k6)]
+        for report in reports:
+            del report["wall_time"], report["samples_per_sec"], report["config"]["out_dir"]
+        assert reports[0] == reports[1]
+        assert list(reports[0]["fits"]) == ["r_A", "R_B"]
+
+    def test_measure_flag_wins_over_config_k(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dim_a": 2, "dim_b": 3, "k": 9, "samples": 1000}))
+        for flags, k in (([], 9), (["--measure", "hs"], 6), (["--measure", "induced:4"], 4)):
+            out = tmp_path / f"k{k}"
+            assert cli.main(["sample", "--config", str(path), "--out", str(out), *flags]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["k"] == k
+            assert report["config_hash"] == rn.ExperimentConfig(
+                dim_a=2, dim_b=3, k=k, samples=1000).config_hash()
+
+    @pytest.mark.parametrize("key, value", [("measure", "hs"), ("symmetrize", False)])
+    def test_retired_config_key_exit_code(self, tmp_path, capsys, key, value):
+        # a config file of the earlier format: no conversion, no traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dim_a": 2, "dim_b": 3, key: value}))
+        assert cli.main(["sample", "--config", str(path), "--samples", "10",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_retired_config_checkpoint_exit_code(self, tmp_path, monkeypatch, capsys):
+        cfg = small_cfg(tmp_path, samples=4_000, checkpoint_every=2_000)
+        run_interrupted(monkeypatch, cfg, blocks=1)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        write_with_digest(ck, json.dumps(with_parent_config(read_payload(ck))).encode())
+        message = "unknown config keys: ['measure', 'symmetrize']"
+        assert cli.main(["report", "--in", cfg.out_dir]) == 2
+        assert message in capsys.readouterr().err
+        assert cli.main(["sample", "--shape", "2x3", "--samples", "4000", "--seed", "7",
+                         "--checkpoint-every", "2000", "--out", cfg.out_dir,
+                         "--resume"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (Path(cfg.out_dir) / "report.json").exists()
+
     def test_induced_measure_parse(self, tmp_path, capsys):
         out = str(tmp_path / "ind")
         rc = cli.main(["sample", "--shape", "2x3", "--measure", "induced:9",
                        "--samples", "5000", "--seed", "1", "--out", out])
         assert rc == 0
         report = json.loads((tmp_path / "ind" / "report.json").read_text())
-        assert report["config"]["measure"] == "induced"
+        assert "measure" not in report["config"]
         assert report["config"]["k"] == 9

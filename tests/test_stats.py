@@ -506,7 +506,6 @@ class TestCountingRule:
     runs use up to the cap."""
 
     @pytest.mark.parametrize("bins", [1, 100, 500, MAX_BINS])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # NaN
     def test_pair_matches_loop_oracle(self, rng, bins):
         h = st.HistogramPair(axis=st.Axis("c3", -1 / math.sqrt(3), 1 / math.sqrt(3), bins))
         batches = [(awkward_values(rng, h.axis, n), rng.random(n) < 0.4)
@@ -520,7 +519,6 @@ class TestCountingRule:
         assert (h.out_total, h.out_hits) == (out_total, out_hits)
 
     @pytest.mark.parametrize("bins", [1, 100, 500, MAX_BINS])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # NaN
     def test_joint_matches_loop_oracle(self, rng, bins):
         j = st.JointHistogram(axis_x=unit_axis("r_A", bins),
                               axis_y=st.Axis("C002", 0.0, 3.0, bins))
@@ -533,6 +531,20 @@ class TestCountingRule:
         assert max(total.values()) > 10
         assert (cell_counts(j.total), cell_counts(j.hits)) == (total, hits)
         assert (j.out_total, j.out_hits) == (out_total, out_hits)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_values_count_as_overflow(self):
+        # a NaN or infinite value once made numpy warn of an invalid cast
+        values, ppt = np.array([np.nan, np.inf, -np.inf, 0.5]), np.array([1, 1, 0, 1], bool)
+        h = st.HistogramPair(axis=unit_axis("r_A", 4))
+        h.accumulate_many(values, ppt)
+        assert (h.total.tolist(), h.hits.tolist()) == ([0, 0, 1, 0], [0, 0, 1, 0])
+        assert (h.out_total, h.out_hits) == (3, 2)
+        j = st.JointHistogram(axis_x=unit_axis("r_A", 4), axis_y=unit_axis("R_B", 4))
+        j.accumulate_many(values, np.full(4, 0.5), ppt)
+        j.accumulate_many(np.full(4, 0.5), values, ppt)
+        assert (j.total[2, 2], j.hits[2, 2], int(j.total.sum())) == (2, 2, 2)
+        assert (j.out_total, j.out_hits) == (6, 4)
 
     def test_joint_count_at_the_cap_allocates_by_the_batch(self, rng):
         # a count at MAX_BINS adds into the 32 MiB layers it has; a dense
