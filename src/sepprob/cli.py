@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import formula
@@ -41,20 +40,19 @@ def _parse_measure(text: str) -> int | None:
 
 
 def _cmd_sample(args) -> int:
-    overrides = {"samples": args.samples, "seed": args.seed,
-                 "workers": args.workers, "bins": args.bins,
-                 "out_dir": args.out, "checkpoint_every": args.checkpoint_every}
+    flags = {"samples": args.samples, "seed": args.seed,
+             "workers": args.workers, "bins": args.bins,
+             "out_dir": args.out, "checkpoint_every": args.checkpoint_every}
+    overrides = {key: value for key, value in flags.items() if value is not None}
     if args.shape:
         overrides["dim_a"], overrides["dim_b"] = _parse_shape(args.shape)
     if args.measure:
+        # hs is k = None, which replaces whatever k a config file holds
         overrides["k"] = _parse_measure(args.measure)
     if args.config:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
     else:
         cfg = ExperimentConfig.from_dict({}, **overrides)
-    if args.measure == "hs":
-        # HS is k = dim_a*dim_b, whatever k a config file holds
-        cfg = replace(cfg, k=cfg.n)
     state = None
     ck = checkpoint_path(cfg.out_dir)
     if args.resume and ck.exists():

@@ -51,9 +51,10 @@ sample's result is the same bits whatever batch it is computed in
 in others), and whether it takes the bisection's finish depends on its
 own entries only.
 
-The large arrays of a call come from a Workspace (below): one per worker
-range (runner._range_stats) lets every sub-batch after the first reuse
-pages already mapped.  Without one, each call makes its own.
+The large arrays of a call come from a Workspace (below): one per pass
+of runner._range_stats, over a one-worker run or a pool task's range,
+lets every sub-batch after the first reuse pages already mapped.  Without
+one, each call makes its own.
 """
 
 from __future__ import annotations

@@ -26,10 +26,10 @@ below and the diagonal is real: every state is exactly Hermitian, and has
 the same bits in any batch.
 
 The draws, the factor's planes and the column sums live in the buffers of
-a matrix_core.Workspace.  runner._range_stats makes one per worker range
-and passes it to every sub-batch of the range and then drops it, so after
-the first sub-batch these arrays fault in no fresh pages; a call given
-none makes its own.  rho itself never lives in a workspace: callers keep
+a matrix_core.Workspace.  runner._range_stats makes one per pass, that is
+per one-worker run or per pool task, passes it to every sub-batch of the
+pass and then drops it, so after the first sub-batch these arrays fault
+in no fresh pages; a call given none makes its own.  rho itself never lives in a workspace: callers keep
 the states a call returns, so each call returns a fresh array.  No
 workspace is cached at module level.
 

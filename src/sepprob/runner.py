@@ -1,13 +1,18 @@
 """Experiment orchestration: config, worker scheduling over sample-index
 ranges, checkpoint/resume, report assembly and CSV export.
 
-Workers own private histograms over disjoint contiguous index ranges and
-results are merged with commutative sums, so no result depends on worker
-count or scheduling order.  A checkpoint is a line with the sha256 hex
-digest of the bytes after it, then one JSON object: the config and its
-hash, the sample and PPT counts and all histogram counts, each count array
-packed as little-endian binary in base64 (stats.encode_histogram).  The axes
-of the histograms are not stored: the config defines them.
+One worker counts the run's remaining sample indices into its state in
+one pass, saving a checkpoint at each block edge on the way.  More workers
+sample each block as a wave of disjoint contiguous index ranges, one per
+pool task, whose counts are merged with commutative sums.  A sample's
+record does not depend on the batch it is computed in, so no result
+depends on worker count, block edges or scheduling order.
+
+A checkpoint is a line with the sha256 hex digest of the bytes after it,
+then one JSON object: the config and its hash, the sample and PPT counts
+and all histogram counts, each count array packed as little-endian binary
+in base64 (stats.encode_histogram).  The axes of the histograms are not
+stored: the config defines them.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import hashlib
 import json
 import os
 import platform
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -31,8 +37,9 @@ from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
                     ratio_with_ci, read_count)
 
-# samples per vectorized sub-batch inside a worker; sub-batches end at its
-# multiples, so only the first one of a range can start mid-chunk
+# samples per vectorized sub-batch; sub-batches are cut at multiples of it
+# in the global sample index, so only the first one of a pass (at a resume
+# point or a pool task's range) can start mid-chunk
 SUB_BATCH = 2 * CHUNK_SAMPLES
 
 # the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
@@ -114,9 +121,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        """The config d describes, each override replacing d's value."""
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a JSON object, got {type(d).__name__}")
-        merged = {**d, **{k: v for k, v in overrides.items() if v is not None}}
+        merged = {**d, **overrides}
         unknown = set(merged) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -211,30 +219,47 @@ def _count_sum(counts: np.ndarray) -> int:
     return int(counts.sum(dtype=np.uint64))
 
 
-def _range_stats(cfg: ExperimentConfig, start: int, count: int) -> RunState:
-    """Counts of one contiguous sample-index range (runs in a worker).
+def _range_stats(cfg: ExperimentConfig, start: int, count: int,
+                 part: RunState | None = None, at_edge=None) -> RunState:
+    """Count the sample indices [start, start + count) into part, a fresh
+    RunState if None (as in a pool task).
 
-    One workspace serves every sub-batch of the range, so after the first
-    they reuse its buffers instead of faulting in fresh pages; it lives for
-    this call only.  The states of a sub-batch are a fresh array, freed as
-    soon as they are recorded."""
-    part = RunState.fresh(cfg)
+    With at_edge, at_edge() runs each time part has counted up to an edge
+    start + i * checkpoint_every, and at the end.  Only the counting of a
+    sub-batch that straddles an edge is split, by slicing its records; its
+    kernels run once.  One workspace serves every sub-batch, so after the
+    first they reuse its buffers instead of faulting in fresh pages; it
+    lives for this call only.  The states of a sub-batch are a fresh array,
+    freed as soon as they are recorded."""
+    if part is None:
+        part = RunState.fresh(cfg)
     measure = MeasureSpec(cfg.n, cfg.k)
     dims = (cfg.dim_a, cfg.dim_b)
     end = start + count
     first_cut = (start // SUB_BATCH + 1) * SUB_BATCH
     cuts = [start, *range(first_cut, end, SUB_BATCH), end]
+    edge = min(start + cfg.checkpoint_every, end)
     workspace = Workspace()
     for lo, hi in zip(cuts, cuts[1:]):
         rec = record_batch(state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
                            dims, workspace=workspace)
-        ppt = rec["ppt"]
-        part.n_ppt += int(ppt.sum())
-        for lb, h in part.hists.items():
-            h.accumulate_many(rec[lb], ppt)
-        part.joint.accumulate_many(rec["r_A"], rec["R_B"], ppt)
+        at = lo
+        while at < hi:
+            # count up to the end of the sub-batch or the next edge in it
+            stop = min(hi, edge)
+            rows = slice(at - lo, stop - lo)
+            ppt = rec["ppt"][rows]
+            part.n_total += stop - at
+            part.n_ppt += int(ppt.sum())
+            for lb, h in part.hists.items():
+                h.accumulate_many(rec[lb][rows], ppt)
+            part.joint.accumulate_many(rec["r_A"][rows], rec["R_B"][rows], ppt)
+            if stop == edge:
+                if at_edge is not None:
+                    at_edge()
+                edge = min(edge + cfg.checkpoint_every, end)
+            at = stop
         del rec, ppt  # free this sub-batch before drawing the next
-    part.n_total = count
     return part
 
 
@@ -375,34 +400,48 @@ def load_checkpoint(path, cfg: ExperimentConfig | None = None
 def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
                    progress: bool = False) -> ExperimentReport:
     """Run (or continue) the sampling experiment described by cfg, saving a
-    resumable checkpoint after every block of checkpoint_every samples."""
+    resumable checkpoint after every block of checkpoint_every samples.
+    state is counted in place: after an exception it may hold part of a
+    block, so resume from the checkpoint, not from it."""
     if state is None:
         state = RunState.fresh(cfg)
-    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
-        while state.n_total < cfg.samples:
-            block = min(cfg.checkpoint_every, cfg.samples - state.n_total)
-            # an even split; a block smaller than the pool leaves some ranges empty
-            edges = [state.n_total + block * i // cfg.workers
-                     for i in range(cfg.workers + 1)]
-            ranges = [(s, e - s) for s, e in zip(edges, edges[1:]) if e > s]
-            t0 = time.perf_counter()
-            if pool is None:
-                parts = [_range_stats(cfg, s, c) for s, c in ranges]
-            else:
-                futures = [pool.submit(_range_stats, cfg, s, c) for s, c in ranges]
-                parts = [f.result() for f in futures]
-            for part in parts:
-                state.merge(part)
-            state.elapsed += time.perf_counter() - t0
-            save_checkpoint(cfg, state)
-            if progress:
-                rate = state.n_total / max(state.elapsed, 1e-9)
+    t0 = time.perf_counter()
+
+    def checkpoint():
+        # elapsed is sampling time: the checkpoint write and the progress
+        # line are not in it
+        nonlocal t0
+        state.elapsed += time.perf_counter() - t0
+        save_checkpoint(cfg, state)
+        if progress:
+            rate = state.n_total / max(state.elapsed, 1e-9)
+            try:
                 print(f"  {state.n_total}/{cfg.samples} samples, "
                       f"{state.n_ppt} PPT, {rate:,.0f} samples/s", flush=True)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            except BrokenPipeError:
+                # the reader has gone; the run goes on, and stdout from here
+                # on, the unflushed line too, goes to the null device
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+        t0 = time.perf_counter()
+
+    if cfg.workers == 1:
+        if state.n_total < cfg.samples:
+            _range_stats(cfg, state.n_total, cfg.samples - state.n_total, state,
+                         checkpoint)
+    else:
+        with ProcessPoolExecutor(cfg.workers) as pool:
+            while state.n_total < cfg.samples:
+                block = min(cfg.checkpoint_every, cfg.samples - state.n_total)
+                # an even split; a block smaller than the pool leaves some ranges empty
+                edges = [state.n_total + block * i // cfg.workers
+                         for i in range(cfg.workers + 1)]
+                futures = [pool.submit(_range_stats, cfg, s, e - s)
+                           for s, e in zip(edges, edges[1:]) if e > s]
+                for f in futures:
+                    state.merge(f.result())
+                checkpoint()
     return assemble_report(cfg, state)
 
 

@@ -4,7 +4,10 @@ import json
 import math
 import os
 import platform
-from dataclasses import asdict
+import re
+import subprocess
+import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,21 +35,27 @@ def hist_state_dict(report):
 
 
 def run_interrupted(monkeypatch, cfg, blocks: int) -> None:
-    """Run cfg on one worker, failing with an injected fault once `blocks`
-    checkpoint blocks are done, which leaves a resumable checkpoint."""
-    real = rn._range_stats
+    """Run cfg on one worker, failing with an injected fault at the save
+    after `blocks` checkpoint blocks, which leaves a resumable checkpoint."""
+    real = rn.save_checkpoint
     calls = []
 
     def fail_after_blocks(*args):
         calls.append(args)
         if len(calls) > blocks:
-            raise RuntimeError("injected worker fault")
+            raise RuntimeError("injected fault")
         return real(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(rn, "_range_stats", fail_after_blocks)
+        m.setattr(rn, "save_checkpoint", fail_after_blocks)
         with pytest.raises(RuntimeError, match="injected"):
             rn.run_experiment(cfg)
+
+
+def without_elapsed(body: bytes) -> bytes:
+    """A checkpoint body with its elapsed time, the one value a rerun
+    changes, taken out."""
+    return re.sub(rb'"elapsed": [^,]*, ', b"", body)
 
 
 def read_payload(ck) -> dict:
@@ -267,6 +276,42 @@ class TestRunExperiment:
             assert hist_state_dict(rep) == hist_state_dict(reps[0])
             assert encode_histogram(rep.joint) == encode_histogram(reps[0].joint)
 
+    @pytest.mark.parametrize("every", [3_001, rn.SUB_BATCH, 20_000])
+    def test_each_checkpoint_counts_its_prefix(self, tmp_path, monkeypatch, every):
+        # one pass, with edges inside sub-batches, on their ends and across
+        # several of them: each save holds the counts of [0, edge) exactly
+        cfg = small_cfg(tmp_path, dim_b=2, samples=45_000, checkpoint_every=every)
+        real, saved = rn.save_checkpoint, []
+
+        def keep(c, state):
+            saved.append(state.to_dict())
+            return real(c, state)
+
+        monkeypatch.setattr(rn, "save_checkpoint", keep)
+        rn.run_experiment(cfg)
+        edges = [*range(every, cfg.samples, every), cfg.samples]
+        assert [d["n_total"] for d in saved] == edges
+        no_edges = replace(cfg, checkpoint_every=10 ** 7)
+        for d, edge in zip(saved, edges):
+            want = rn._range_stats(no_edges, 0, edge).to_dict()
+            assert {**d, "elapsed": 0.0} == want
+
+    def test_one_worker_sub_batches_on_the_grid(self, tmp_path, monkeypatch):
+        # blocks of 20000 once cut 17 sub-batches, 9 of them short
+        cfg = small_cfg(tmp_path, dim_b=2, samples=100_000, checkpoint_every=20_000)
+        real, calls = rn.state_batch, []
+
+        def spy(measure, seed, start, count, **kw):
+            calls.append((start, count))
+            return real(measure, seed, start, count, **kw)
+
+        monkeypatch.setattr(rn, "state_batch", spy)
+        rn.run_experiment(cfg)
+        assert len(calls) == -(-cfg.samples // rn.SUB_BATCH) == 13
+        assert all(start % rn.SUB_BATCH == 0 for start, _ in calls)
+        assert [count for _, count in calls[:-1]] == [rn.SUB_BATCH] * 12
+        assert calls[-1] == (12 * rn.SUB_BATCH, cfg.samples - 12 * rn.SUB_BATCH)
+
     @pytest.mark.parametrize("k, b", [(2, 4), (4, 10)])
     def test_induced_qubit_radius_fit(self, tmp_path, k, b):
         # rho_A of an induced 2x3 state is an induced qubit state with ancilla
@@ -309,6 +354,40 @@ class TestCheckpointResume:
         assert resumed.n_ppt == straight.n_ppt
         assert hist_state_dict(resumed) == hist_state_dict(straight)
         assert encode_histogram(resumed.joint) == encode_histogram(straight.joint)
+
+    def test_fault_in_straddling_sub_batch_resumes_identically(self, tmp_path,
+                                                               monkeypatch):
+        # the third sub-batch, [16384, 24576), straddles the edge at 20000:
+        # a fault there leaves the checkpoint at 10000, and the resumed run
+        # writes the bytes of a straight one
+        cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        rn.export(rn.run_experiment(cfg))
+        straight = {p.name: p.read_bytes() for p in Path(cfg.out_dir).glob("*.csv")}
+        straight_body = without_elapsed(ck.read_bytes().partition(b"\n")[2])
+        for p in Path(cfg.out_dir).iterdir():
+            p.unlink()
+
+        real, calls = rn.record_batch, []
+
+        def fail_third(*args, **kw):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("injected fault")
+            return real(*args, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(rn, "record_batch", fail_third)
+            with pytest.raises(RuntimeError, match="injected"):
+                rn.run_experiment(cfg)
+        _, state = rn.load_checkpoint(ck, cfg)
+        assert state.n_total == 10_000
+        rn.export(rn.run_experiment(cfg, state=state))
+        resumed = {p.name: p.read_bytes() for p in Path(cfg.out_dir).glob("*.csv")}
+        assert sorted(resumed) == sorted(straight)
+        for name, data in straight.items():
+            assert resumed[name] == data, name
+        assert without_elapsed(ck.read_bytes().partition(b"\n")[2]) == straight_body
 
     def test_altered_seed_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
@@ -923,6 +1002,39 @@ class TestCli:
             assert report["config"]["k"] == k
             assert report["config_hash"] == rn.ExperimentConfig(
                 dim_a=2, dim_b=3, k=k, samples=1000).config_hash()
+
+    def test_measure_hs_replaces_an_invalid_config_k(self, tmp_path, capsys):
+        # the flag was once applied after the file's own k had been refused
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"dim_a": 2, "dim_b": 3, "k": 0}))
+        hashes = []
+        for name, flags in (("file", ["--config", str(path)]), ("plain", ["--shape", "2x3"])):
+            out = tmp_path / name
+            assert cli.main(["sample", *flags, "--measure", "hs", "--samples", "1000",
+                             "--out", str(out)]) == 0
+            hashes.append(json.loads((out / "report.json").read_text())["config_hash"])
+        assert hashes[0] == hashes[1] == rn.ExperimentConfig(
+            dim_a=2, dim_b=3, samples=1000).config_hash()
+
+    def test_progress_into_a_closed_pipe(self, tmp_path):
+        # `sepprob sample ... | head -1`: the reader goes after one progress
+        # line, and the run still reaches its end, checkpoint and export
+        out = tmp_path / "piped"
+        argv = [sys.executable, "-m", "sepprob.cli", "sample", "--shape", "2x2",
+                "--samples", "100000", "--checkpoint-every", "20000", "--seed", "3",
+                "--out", str(out)]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline().startswith(b"  20000/100000 samples")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=300)
+        assert (proc.returncode, err) == (0, b"")
+        _, state = rn.load_checkpoint(rn.checkpoint_path(out))
+        assert state.n_total == 100_000
+        for line in (out / "MANIFEST").read_text().splitlines():
+            digest, name = line.split("  ")
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     @pytest.mark.parametrize("key, value", [("measure", "hs"), ("symmetrize", False)])
     def test_retired_config_key_exit_code(self, tmp_path, capsys, key, value):
