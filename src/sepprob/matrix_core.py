@@ -52,9 +52,9 @@ in others), and whether it takes the bisection's finish depends on its
 own entries only.
 
 The large arrays of a call come from a Workspace (below): one per pass
-of runner._range_stats, over a one-worker run or a pool task's range,
-lets every sub-batch after the first reuse pages already mapped.  Without
-one, each call makes its own.
+of runner._range_stats, that is per lane of a run, lets every sub-batch
+after the first reuse pages already mapped.  Without one, each call makes
+its own.
 """
 
 from __future__ import annotations

@@ -27,11 +27,12 @@ the same bits in any batch.
 
 The draws, the factor's planes and the column sums live in the buffers of
 a matrix_core.Workspace.  runner._range_stats makes one per pass, that is
-per one-worker run or per pool task, passes it to every sub-batch of the
-pass and then drops it, so after the first sub-batch these arrays fault
-in no fresh pages; a call given none makes its own.  rho itself never lives in a workspace: callers keep
-the states a call returns, so each call returns a fresh array.  No
-workspace is cached at module level.
+per lane of a run (the whole run on one worker, one pool task for the
+whole run on more), passes it to every sub-batch of the pass and then
+drops it, so after the first sub-batch these arrays fault in no fresh
+pages; a call given none makes its own.  rho itself never lives in a
+workspace: callers keep the states a call returns, so each call returns
+a fresh array.  No workspace is cached at module level.
 
 Reproducibility: samples are grouped into fixed chunks of CHUNK_SAMPLES.
 Chunk c of master seed s has two substreams,

@@ -1,12 +1,16 @@
-"""Experiment orchestration: config, worker scheduling over sample-index
-ranges, checkpoint/resume, report assembly and CSV export.
+"""Experiment orchestration: config, worker lanes over the sample-index
+grid, checkpoint/resume, report assembly and CSV export.
 
-One worker counts the run's remaining sample indices into its state in
-one pass, saving a checkpoint at each block edge on the way.  More workers
-sample each block as a wave of disjoint contiguous index ranges, one per
-pool task, whose counts are merged with commutative sums.  A sample's
-record does not depend on the batch it is computed in, so no result
-depends on worker count, block edges or scheduling order.
+A run's remaining sample indices are cut into sub-batches on one global
+grid and dealt to W lanes: lane w samples the sub-batches numbered
+b = w (mod W) in one pass.  One worker is lane 0 of 1, counted in place
+into the run state with a checkpoint at each block edge.  With more
+workers each lane is one pool task for the whole run; at every edge it
+passes it sends the parent its counts since the last one, and the parent
+merges each block's counts with commutative sums and saves the checkpoint
+once every lane has passed its edge, while the lanes sample on.  A
+sample's record does not depend on the batch it is computed in, so no
+result depends on worker count, block edges or scheduling order.
 
 A checkpoint is a line with the sha256 hex digest of the bytes after it,
 then one JSON object: the config and its hash, the sample and PPT counts
@@ -19,14 +23,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import isfinite
 from pathlib import Path
+from queue import Empty
 
 import numpy as np
 
@@ -38,9 +44,12 @@ from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     ratio_with_ci, read_count)
 
 # samples per vectorized sub-batch; sub-batches are cut at multiples of it
-# in the global sample index, so only the first one of a pass (at a resume
-# point or a pool task's range) can start mid-chunk
+# in the global sample index, so only a run's first one, at a resume point,
+# can start mid-chunk, and every lane draws whole chunks
 SUB_BATCH = 2 * CHUNK_SAMPLES
+# seconds the parent of a pool waits for a lane's message before it checks
+# whether a lane has raised or its worker has died
+LANE_POLL_S = 0.1
 
 # the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
 MAX_BINS = 2048
@@ -168,7 +177,7 @@ class RunState:
                    joint=JointHistogram(axis_x=axes["r_A"], axis_y=axes["R_B"]))
 
     def merge(self, part: "RunState") -> None:
-        """Add the counts of a part (one worker's index range) to this state."""
+        """Add the counts of a part (a lane's counts in one block) to this state."""
         self.n_total += part.n_total
         self.n_ppt += part.n_ppt
         for lb, h in self.hists.items():
@@ -220,27 +229,50 @@ def _count_sum(counts: np.ndarray) -> int:
 
 
 def _range_stats(cfg: ExperimentConfig, start: int, count: int,
-                 part: RunState | None = None, at_edge=None) -> RunState:
-    """Count the sample indices [start, start + count) into part, a fresh
-    RunState if None (as in a pool task).
+                 part: RunState | None = None, at_edge=None,
+                 lane: int = 0, lanes: int = 1, halt=None) -> RunState:
+    """Count into part, a fresh RunState if None, the samples of lane
+    `lane` of `lanes` over the indices [start, start + count): the
+    sub-batches numbered b = lane (mod lanes) of the range, cut on the
+    global SUB_BATCH grid.  The defaults count the whole range.
 
-    With at_edge, at_edge() runs each time part has counted up to an edge
-    start + i * checkpoint_every, and at the end.  Only the counting of a
+    With at_edge, at_edge(upto) runs each time the lane has counted all of
+    its samples below upto and has passed an edge start + i *
+    checkpoint_every (the last is the end) since the last call: at an edge
+    inside a sub-batch, with upto that edge; for edges between two of its
+    sub-batches, just before it draws the next, with upto where that one
+    starts, or the end after its last.  So the samples counted between two
+    calls lie in one block.  On one lane every edge falls inside a
+    sub-batch: at_edge runs once per edge.  Only the counting of a
     sub-batch that straddles an edge is split, by slicing its records; its
-    kernels run once.  One workspace serves every sub-batch, so after the
-    first they reuse its buffers instead of faulting in fresh pages; it
-    lives for this call only.  The states of a sub-batch are a fresh array,
-    freed as soon as they are recorded."""
+    kernels run once.
+
+    The lane returns before its next sub-batch once halt (an Event) is
+    set, without a last at_edge call.  One workspace serves every
+    sub-batch, so after the first they reuse its buffers instead of
+    faulting in fresh pages; it lives for this call only.  The states of a
+    sub-batch are a fresh array, freed as soon as they are recorded."""
     if part is None:
         part = RunState.fresh(cfg)
     measure = MeasureSpec(cfg.n, cfg.k)
     dims = (cfg.dim_a, cfg.dim_b)
     end = start + count
+    every = cfg.checkpoint_every
+
+    def edge_after(at):
+        # the first edge above index at; end + 1 once the end is passed
+        return min(start + ((at - start) // every + 1) * every, end) if at < end else end + 1
+
     first_cut = (start // SUB_BATCH + 1) * SUB_BATCH
     cuts = [start, *range(first_cut, end, SUB_BATCH), end]
-    edge = min(start + cfg.checkpoint_every, end)
+    edge = edge_after(start) if at_edge is not None else end + 1
     workspace = Workspace()
-    for lo, hi in zip(cuts, cuts[1:]):
+    for lo, hi in list(zip(cuts, cuts[1:]))[lane::lanes]:
+        if halt is not None and halt.is_set():
+            return part
+        if edge <= lo:
+            at_edge(lo)
+            edge = edge_after(lo)
         rec = record_batch(state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
                            dims, workspace=workspace)
         at = lo
@@ -255,12 +287,95 @@ def _range_stats(cfg: ExperimentConfig, start: int, count: int,
                 h.accumulate_many(rec[lb][rows], ppt)
             part.joint.accumulate_many(rec["r_A"][rows], rec["R_B"][rows], ppt)
             if stop == edge:
-                if at_edge is not None:
-                    at_edge()
-                edge = min(edge + cfg.checkpoint_every, end)
+                at_edge(edge)
+                edge = edge_after(edge)
             at = stop
         del rec, ppt  # free this sub-batch before drawing the next
+    if edge <= end:
+        at_edge(end)
     return part
+
+
+def _lane(cfg: ExperimentConfig, start: int, lane: int, send, halt=None) -> None:
+    """Lane `lane` of cfg.workers over [start, cfg.samples), as a pool task
+    runs it: at each at_edge(upto) of its pass it calls send((lane, upto,
+    delta)), with delta its counts since the last message as
+    RunState.to_dict writes them, or None if it counted nothing since."""
+    part = RunState.fresh(cfg)
+
+    def ship(upto):
+        send((lane, upto, part.to_dict() if part.n_total else None))
+        part.n_total = part.n_ppt = 0
+        for h in [*part.hists.values(), part.joint]:
+            h.total[...] = 0
+            h.hits[...] = 0
+            h.out_total = h.out_hits = 0
+
+    _range_stats(cfg, start, cfg.samples - start, part, ship, lane, cfg.workers, halt)
+
+
+# a pool worker's lane queue and halt event, set by _join_pool
+_pool_link = None
+
+
+def _join_pool(queue, halt) -> None:
+    global _pool_link
+    # a worker exits without flushing what the parent no longer reads (it
+    # reads every message of a run that ends normally), so a full pipe
+    # cannot hold up its exit
+    queue.cancel_join_thread()
+    _pool_link = queue, halt
+
+
+def _pool_lane(cfg: ExperimentConfig, start: int, lane: int) -> None:
+    queue, halt = _pool_link
+    _lane(cfg, start, lane, queue.put, halt)
+
+
+def _run_lanes(cfg: ExperimentConfig, state: RunState, checkpoint) -> None:
+    """Count [state.n_total, cfg.samples) into state on cfg.workers pool
+    lanes, calling checkpoint() at each edge state.n_total + i *
+    checkpoint_every and at the end, once every lane has passed it.
+
+    A lane's error, or BrokenProcessPool for a worker that died, ends the
+    run; on any error the lanes stop before their next sub-batch and the
+    pool is shut down before it propagates."""
+    start, every = state.n_total, cfg.checkpoint_every
+    ctx = multiprocessing.get_context()
+    queue, halt = ctx.Queue(), ctx.Event()
+    # how far each lane has counted all of its samples, and the deltas of
+    # blocks not yet saved, by block number; a delta's samples lie in the
+    # block its lane had reached at its previous message
+    passed = [start] * cfg.workers
+    pending: dict[int, list[dict]] = {}
+    with ProcessPoolExecutor(cfg.workers, mp_context=ctx, initializer=_join_pool,
+                             initargs=(queue, halt)) as pool:
+        lanes = [pool.submit(_pool_lane, cfg, start, w) for w in range(cfg.workers)]
+        try:
+            while state.n_total < cfg.samples:
+                for f in lanes:  # raises a lane's error
+                    try:
+                        f.result(timeout=0)
+                    except FutureTimeout:
+                        pass
+                try:
+                    lane, upto, delta = queue.get(timeout=LANE_POLL_S)
+                except Empty:
+                    continue
+                if delta is not None:
+                    pending.setdefault((passed[lane] - start) // every, []).append(delta)
+                passed[lane] = upto
+                edge = min(state.n_total + every, cfg.samples)
+                while min(passed) >= edge > state.n_total:
+                    for d in pending.pop((state.n_total - start) // every, ()):
+                        state.merge(RunState.from_dict(d, cfg))
+                    if state.n_total != edge:  # never save a block with counts missing
+                        raise RuntimeError(f"the lanes' counts below {edge} "
+                                           f"hold {state.n_total} samples")
+                    checkpoint()
+                    edge = min(edge + every, cfg.samples)
+        finally:
+            halt.set()
 
 
 @dataclass
@@ -408,8 +523,8 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
     t0 = time.perf_counter()
 
     def checkpoint():
-        # elapsed is sampling time: the checkpoint write and the progress
-        # line are not in it
+        # elapsed leaves out the checkpoint write and the progress line,
+        # though a pool's lanes sample on meanwhile
         nonlocal t0
         state.elapsed += time.perf_counter() - t0
         save_checkpoint(cfg, state)
@@ -426,22 +541,11 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
                 os.close(devnull)
         t0 = time.perf_counter()
 
-    if cfg.workers == 1:
-        if state.n_total < cfg.samples:
-            _range_stats(cfg, state.n_total, cfg.samples - state.n_total, state,
-                         checkpoint)
-    else:
-        with ProcessPoolExecutor(cfg.workers) as pool:
-            while state.n_total < cfg.samples:
-                block = min(cfg.checkpoint_every, cfg.samples - state.n_total)
-                # an even split; a block smaller than the pool leaves some ranges empty
-                edges = [state.n_total + block * i // cfg.workers
-                         for i in range(cfg.workers + 1)]
-                futures = [pool.submit(_range_stats, cfg, s, e - s)
-                           for s, e in zip(edges, edges[1:]) if e > s]
-                for f in futures:
-                    state.merge(f.result())
-                checkpoint()
+    if state.n_total < cfg.samples and cfg.workers == 1:
+        _range_stats(cfg, state.n_total, cfg.samples - state.n_total, state,
+                     lambda upto: checkpoint())
+    elif state.n_total < cfg.samples:
+        _run_lanes(cfg, state, checkpoint)
     return assemble_report(cfg, state)
 
 

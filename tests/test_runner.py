@@ -1,12 +1,16 @@
 import base64
+import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -35,8 +39,8 @@ def hist_state_dict(report):
 
 
 def run_interrupted(monkeypatch, cfg, blocks: int) -> None:
-    """Run cfg on one worker, failing with an injected fault at the save
-    after `blocks` checkpoint blocks, which leaves a resumable checkpoint."""
+    """Run cfg, failing with an injected fault at the save after `blocks`
+    checkpoint blocks, which leaves a resumable checkpoint."""
     real = rn.save_checkpoint
     calls = []
 
@@ -50,6 +54,48 @@ def run_interrupted(monkeypatch, cfg, blocks: int) -> None:
         m.setattr(rn, "save_checkpoint", fail_after_blocks)
         with pytest.raises(RuntimeError, match="injected"):
             rn.run_experiment(cfg)
+
+
+# a two-lane run whose fault comes at the sub-batch [24576, 32768) of lane
+# 1, after the checkpoint at 20000 and before lane 1 passes 30000
+FAULT_RUN = dict(dim_b=2, samples=45_000, seed=5, checkpoint_every=10_000)
+FAULT_AT, FAULT_EDGE = 3 * rn.SUB_BATCH, 20_000
+
+
+def pool_fault_run(fault: str, out_dir: str) -> None:
+    """Run FAULT_RUN on two workers with a fault injected: a lane that
+    raises ("raise") or whose worker exits ("exit") at FAULT_AT once the
+    checkpoint at FAULT_EDGE is on disk, or a failed third save ("save").
+    Prints the error and how many child processes are left; meant for a
+    subprocess, since a run that hangs would hang its process."""
+    cfg = rn.ExperimentConfig(dim_a=2, workers=2, out_dir=out_dir, **FAULT_RUN)
+    real = rn.state_batch
+
+    def faulty(measure, seed, start, count, **kw):
+        if start == FAULT_AT:
+            ck = rn.checkpoint_path(out_dir)
+            deadline = time.monotonic() + 60
+            while not (ck.exists() and rn.load_checkpoint(ck)[1].n_total == FAULT_EDGE):
+                assert time.monotonic() < deadline, "no checkpoint at FAULT_EDGE"
+                time.sleep(0.01)
+            if fault == "exit":
+                os._exit(3)
+            raise RuntimeError("injected lane fault")
+        return real(measure, seed, start, count, **kw)
+
+    monkeypatch = pytest.MonkeyPatch()
+    error = None
+    if fault == "save":
+        run_interrupted(monkeypatch, cfg, blocks=2)
+        error = "RuntimeError: injected fault"
+    else:
+        # set before the pool forks, so the lanes inherit it
+        monkeypatch.setattr(rn, "state_batch", faulty)
+        try:
+            rn.run_experiment(cfg)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+    print(json.dumps({"error": error, "children": len(multiprocessing.active_children())}))
 
 
 def without_elapsed(body: bytes) -> bytes:
@@ -150,6 +196,27 @@ def whole_range(tmp_path_factory):
     return cfg, start, count, rn._range_stats(cfg, start, count)
 
 
+@pytest.fixture(scope="module")
+def fault_run_outputs(tmp_path_factory):
+    """CSVs and checkpoint body (elapsed taken out) of FAULT_RUN run
+    straight through, by worker count."""
+    outputs = {}
+    for workers in (1, 2):
+        cfg = rn.ExperimentConfig(dim_a=2, workers=workers, **FAULT_RUN,
+                                  out_dir=str(tmp_path_factory.mktemp("straight")))
+        rn.export(rn.run_experiment(cfg))
+        outputs[workers] = outputs_of(cfg.out_dir)
+    return outputs
+
+
+def outputs_of(out_dir) -> tuple[dict, bytes]:
+    """The CSVs of a run directory and its checkpoint body without elapsed
+    and with out_dir blanked."""
+    csvs = {p.name: p.read_bytes() for p in Path(out_dir).glob("*.csv")}
+    body = rn.checkpoint_path(out_dir).read_bytes().partition(b"\n")[2]
+    return csvs, without_elapsed(body).replace(json.dumps(str(out_dir)).encode(), b'""')
+
+
 class TestConfig:
     def test_rejects_zero_samples(self, tmp_path):
         with pytest.raises(rn.ConfigError):
@@ -242,15 +309,24 @@ class TestRunExperiment:
         assert np.array_equal(rep.joint.hits.sum(axis=1), rep.hists["r_A"].hits)
         assert np.array_equal(rep.joint.total.sum(axis=0), rep.hists["R_B"].total)
 
-    def test_worker_count_independence(self, tmp_path):
-        # an even split, and one that leaves a remainder for some range
-        for samples, workers in ((10_000, 2), (10_001, 3)):
-            reps = [rn.run_experiment(small_cfg(tmp_path / f"{samples}-{w}",
-                                                samples=samples, workers=w))
-                    for w in (1, workers)]
-            assert reps[0].n_ppt == reps[1].n_ppt
-            assert hist_state_dict(reps[0]) == hist_state_dict(reps[1])
-            assert encode_histogram(reps[0].joint) == encode_histogram(reps[1].joint)
+    def test_worker_count_independence(self, tmp_path, monkeypatch):
+        # lanes of one sub-batch each, a lane with none, and lanes of two
+        # sub-batches with edges inside and between them, also resumed from
+        # the save at 3001, off the SUB_BATCH grid
+        for samples, workers, every in ((10_000, 2, 10 ** 7), (10_001, 3, 10 ** 7),
+                                        (30_000, 2, 3_001), (30_000, 3, 3_001)):
+            cfgs = [small_cfg(tmp_path / f"{samples}-{every}-{w}", samples=samples,
+                              workers=w, checkpoint_every=every) for w in (1, workers)]
+            reps = [rn.run_experiment(c) for c in cfgs]
+            if every == 3_001:
+                run_interrupted(monkeypatch, cfgs[1], blocks=1)
+                _, state = rn.load_checkpoint(rn.checkpoint_path(cfgs[1].out_dir), cfgs[1])
+                assert state.n_total == 3_001
+                reps.append(rn.run_experiment(cfgs[1], state=state))
+            for rep in reps[1:]:
+                assert rep.n_ppt == reps[0].n_ppt
+                assert hist_state_dict(rep) == hist_state_dict(reps[0])
+                assert encode_histogram(rep.joint) == encode_histogram(reps[0].joint)
 
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(cuts=st.lists(st.integers(5_001, 5_000 + 3 * rn.SUB_BATCH + 122),
@@ -276,11 +352,16 @@ class TestRunExperiment:
             assert hist_state_dict(rep) == hist_state_dict(reps[0])
             assert encode_histogram(rep.joint) == encode_histogram(reps[0].joint)
 
-    @pytest.mark.parametrize("every", [3_001, rn.SUB_BATCH, 20_000])
-    def test_each_checkpoint_counts_its_prefix(self, tmp_path, monkeypatch, every):
-        # one pass, with edges inside sub-batches, on their ends and across
-        # several of them: each save holds the counts of [0, edge) exactly
-        cfg = small_cfg(tmp_path, dim_b=2, samples=45_000, checkpoint_every=every)
+    @pytest.mark.parametrize("every, workers", [
+        pytest.param(every, workers, id=f"{every}" + (f"-w{workers}" if workers > 1 else ""))
+        for workers in (1, 2, 3) for every in (3_001, rn.SUB_BATCH, 20_000)])
+    def test_each_checkpoint_counts_its_prefix(self, tmp_path, monkeypatch, every,
+                                               workers):
+        # edges inside sub-batches, on their ends, across several of them
+        # and, with more lanes, between a lane's sub-batches: each save holds
+        # the counts of [0, edge) exactly
+        cfg = small_cfg(tmp_path, dim_b=2, samples=45_000, checkpoint_every=every,
+                        workers=workers)
         real, saved = rn.save_checkpoint, []
 
         def keep(c, state):
@@ -311,6 +392,41 @@ class TestRunExperiment:
         assert all(start % rn.SUB_BATCH == 0 for start, _ in calls)
         assert [count for _, count in calls[:-1]] == [rn.SUB_BATCH] * 12
         assert calls[-1] == (12 * rn.SUB_BATCH, cfg.samples - 12 * rn.SUB_BATCH)
+
+    def test_lanes_partition_the_grid(self, tmp_path, monkeypatch):
+        # three lanes from a resume point off the grid, with edges inside
+        # and between their sub-batches, run here one after another
+        cfg = small_cfg(tmp_path, dim_b=2, samples=80_000, workers=3,
+                        checkpoint_every=7_001)
+        start = 5_000
+        cuts = [start, *range(rn.SUB_BATCH, cfg.samples, rn.SUB_BATCH), cfg.samples]
+        cells = list(zip(cuts, cuts[1:]))
+        real, draws = rn.state_batch, []
+
+        def spy(measure, seed, lo, count, **kw):
+            draws.append((lo, lo + count))
+            return real(measure, seed, lo, count, **kw)
+
+        monkeypatch.setattr(rn, "state_batch", spy)
+        merged = rn.RunState.fresh(cfg)
+        edges = range(start + 7_001, cfg.samples, 7_001)
+        for lane in range(3):
+            draws.clear()
+            messages = []
+            rn._lane(cfg, start, lane, messages.append)
+            assert draws == cells[lane::3]
+            assert all(lo % rn.SUB_BATCH == 0 for lo, _ in draws if lo != start)
+            edges_inside = sum(lo < e < hi for e in edges for lo, hi in draws)
+            assert len(messages) <= len(draws) + edges_inside + 1
+            assert [m[0] for m in messages] == [lane] * len(messages)
+            uptos = [m[1] for m in messages]
+            assert uptos == sorted(uptos) and uptos[-1] == cfg.samples
+            for _, _, delta in messages:
+                # an empty delta is sent as None
+                assert delta is None or delta["n_total"] > 0
+                if delta is not None:
+                    merged.merge(rn.RunState.from_dict(delta, cfg))
+        assert merged.to_dict() == rn._range_stats(cfg, start, cfg.samples - start).to_dict()
 
     @pytest.mark.parametrize("k, b", [(2, 4), (4, 10)])
     def test_induced_qubit_radius_fit(self, tmp_path, k, b):
@@ -388,6 +504,43 @@ class TestCheckpointResume:
         for name, data in straight.items():
             assert resumed[name] == data, name
         assert without_elapsed(ck.read_bytes().partition(b"\n")[2]) == straight_body
+
+    @pytest.mark.parametrize("fault, error", [
+        ("raise", "RuntimeError: injected lane fault"),
+        ("exit", "BrokenProcessPool: "),
+        ("save", "RuntimeError: injected fault")], ids=["raise", "exit", "save"])
+    def test_pool_fault_ends_run_at_last_edge(self, tmp_path, fault_run_outputs,
+                                             fault, error):
+        # a lane's error, a dead worker or a failed save in the parent ends a
+        # two-lane run with that error and no process left, the checkpoint
+        # at the last edge both lanes passed; resuming from it on one or two
+        # workers writes the bytes of a straight run
+        out = tmp_path / "faulty"
+        code = f"import test_runner; test_runner.pool_fault_run({fault!r}, {str(out)!r})"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env,
+                              start_new_session=True) as proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=120)
+            finally:
+                # a run that hangs, its pool workers too
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0, stderr.decode()
+        result = json.loads(stdout.splitlines()[-1])
+        assert result["error"].startswith(error) and result["children"] == 0
+        ck = rn.checkpoint_path(out)
+        cfg, state = rn.load_checkpoint(ck)
+        assert state.n_total == FAULT_EDGE
+        want = rn._range_stats(cfg, 0, FAULT_EDGE).to_dict()
+        assert {**state.to_dict(), "elapsed": 0.0} == want
+        saved = ck.read_bytes()
+        for workers in (1, 2):
+            ck.write_bytes(saved)
+            cfg_w = replace(cfg, workers=workers)
+            rn.export(rn.run_experiment(cfg_w, state=rn.load_checkpoint(ck, cfg_w)[1]))
+            assert outputs_of(out) == fault_run_outputs[workers], workers
 
     def test_altered_seed_rejected(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
