@@ -51,9 +51,9 @@ sample's result is the same bits whatever batch it is computed in
 in others), and whether it takes the bisection's finish depends on its
 own entries only.
 
-The large arrays of a call come from a Workspace (below): one per pass
-of runner._range_stats, that is per lane of a run, lets every sub-batch
-after the first reuse pages already mapped.  Without one, each call makes
+The large arrays of a call come from a Workspace (below): one per lane
+of a run (runner._lane_records) lets every sub-batch after the first
+reuse pages already mapped.  Without one, each call makes
 its own.
 """
 

@@ -1,16 +1,15 @@
-"""Experiment orchestration: config, worker lanes over the sample-index
-grid, checkpoint/resume, report assembly and CSV export.
+"""Experiment orchestration: config, the sampling lanes and the one
+counting loop, checkpoint/resume, report assembly and CSV export.
 
-A run's remaining sample indices are cut into sub-batches on one global
-grid and dealt to W lanes: lane w samples the sub-batches numbered
-b = w (mod W) in one pass.  One worker is lane 0 of 1, counted in place
-into the run state with a checkpoint at each block edge.  With more
-workers each lane is one pool task for the whole run; at every edge it
-passes it sends the parent its counts since the last one, and the parent
-merges each block's counts with commutative sums and saves the checkpoint
-once every lane has passed its edge, while the lanes sample on.  A
-sample's record does not depend on the batch it is computed in, so no
-result depends on worker count, block edges or scheduling order.
+A run's remaining sample indices are cut into cells on one global grid of
+SUB_BATCH samples, and lane w of W draws the records of the run's cells
+numbered w, w + W, w + 2W, ...  Lanes only sample: the caller's process
+counts every record into the run state in sample order, in one loop that
+saves a checkpoint at each block edge.  One worker is lane 0 of 1, drawn
+in process as it is counted; with more, each lane is one pool task for
+the whole run that puts its records on one bounded queue.  A sample's
+record does not depend on the batch it is computed in, so no result
+depends on worker count, block edges or scheduling order.
 
 A checkpoint is a line with the sha256 hex digest of the bytes after it,
 then one JSON object: the config and its hash, the sample and PPT counts
@@ -29,10 +28,11 @@ import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
+from contextlib import closing, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from math import isfinite
 from pathlib import Path
-from queue import Empty
+from queue import Empty, Full
 
 import numpy as np
 
@@ -43,12 +43,15 @@ from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
                     ratio_with_ci, read_count)
 
-# samples per vectorized sub-batch; sub-batches are cut at multiples of it
-# in the global sample index, so only a run's first one, at a resume point,
-# can start mid-chunk, and every lane draws whole chunks
+# samples per cell of the lanes' grid, cut at multiples of it in the global
+# sample index: only a run's first cell, at a resume point, can start
+# mid-chunk, and every lane draws whole chunks
 SUB_BATCH = 2 * CHUNK_SAMPLES
-# seconds the parent of a pool waits for a lane's message before it checks
-# whether a lane has raised or its worker has died
+# records a pool's queue holds per lane; a lane whose put finds the queue
+# full waits, so records not yet counted stay few
+LANE_QUEUE = 4
+# seconds the parent of a pool waits for a record, and a lane for room on
+# the queue, before it checks whether a lane or the run has stopped
 LANE_POLL_S = 0.1
 
 # the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
@@ -176,14 +179,6 @@ class RunState:
                    hists={lb: HistogramPair(axis=ax) for lb, ax in axes.items()},
                    joint=JointHistogram(axis_x=axes["r_A"], axis_y=axes["R_B"]))
 
-    def merge(self, part: "RunState") -> None:
-        """Add the counts of a part (a lane's counts in one block) to this state."""
-        self.n_total += part.n_total
-        self.n_ppt += part.n_ppt
-        for lb, h in self.hists.items():
-            self.hists[lb] = h.merge(part.hists[lb])
-        self.joint = self.joint.merge(part.joint)
-
     def to_dict(self) -> dict:
         return {"n_total": self.n_total, "n_ppt": self.n_ppt, "elapsed": self.elapsed,
                 "histograms": {lb: encode_histogram(h) for lb, h in self.hists.items()},
@@ -228,152 +223,101 @@ def _count_sum(counts: np.ndarray) -> int:
     return int(counts.sum(dtype=np.uint64))
 
 
-def _range_stats(cfg: ExperimentConfig, start: int, count: int,
-                 part: RunState | None = None, at_edge=None,
-                 lane: int = 0, lanes: int = 1, halt=None) -> RunState:
-    """Count into part, a fresh RunState if None, the samples of lane
-    `lane` of `lanes` over the indices [start, start + count): the
-    sub-batches numbered b = lane (mod lanes) of the range, cut on the
-    global SUB_BATCH grid.  The defaults count the whole range.
+def _cells(start: int, end: int, lane: int = 0, lanes: int = 1):
+    """(lo, hi) of the cells i = lane (mod lanes) of [start, end), in order:
+    cell i is [b * SUB_BATCH, (b + 1) * SUB_BATCH) with b = start //
+    SUB_BATCH + i, cut to the range.  No list of cells is ever built."""
+    b = start // SUB_BATCH + lane
+    while (lo := max(b * SUB_BATCH, start)) < end:
+        yield lo, min((b + 1) * SUB_BATCH, end)
+        b += lanes
 
-    With at_edge, at_edge(upto) runs each time the lane has counted all of
-    its samples below upto and has passed an edge start + i *
-    checkpoint_every (the last is the end) since the last call: at an edge
-    inside a sub-batch, with upto that edge; for edges between two of its
-    sub-batches, just before it draws the next, with upto where that one
-    starts, or the end after its last.  So the samples counted between two
-    calls lie in one block.  On one lane every edge falls inside a
-    sub-batch: at_edge runs once per edge.  Only the counting of a
-    sub-batch that straddles an edge is split, by slicing its records; its
-    kernels run once.
 
-    The lane returns before its next sub-batch once halt (an Event) is
-    set, without a last at_edge call.  One workspace serves every
-    sub-batch, so after the first they reuse its buffers instead of
-    faulting in fresh pages; it lives for this call only.  The states of a
-    sub-batch are a fresh array, freed as soon as they are recorded."""
-    if part is None:
-        part = RunState.fresh(cfg)
-    measure = MeasureSpec(cfg.n, cfg.k)
-    dims = (cfg.dim_a, cfg.dim_b)
-    end = start + count
-    every = cfg.checkpoint_every
+def _lane_records(cfg: ExperimentConfig, start: int, lane: int = 0, lanes: int = 1):
+    """(lo, hi, record) for each cell of lane `lane` of `lanes` over
+    [start, cfg.samples), in order.  One workspace serves the whole pass, so
+    after the first cell the kernels fault in no fresh pages; the states of
+    a cell are a fresh array, freed as soon as they are recorded."""
+    measure, workspace = MeasureSpec(cfg.n, cfg.k), Workspace()
+    for lo, hi in _cells(start, cfg.samples, lane, lanes):
+        yield lo, hi, record_batch(
+            state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
+            (cfg.dim_a, cfg.dim_b), workspace=workspace)
 
-    def edge_after(at):
-        # the first edge above index at; end + 1 once the end is passed
-        return min(start + ((at - start) // every + 1) * every, end) if at < end else end + 1
 
-    first_cut = (start // SUB_BATCH + 1) * SUB_BATCH
-    cuts = [start, *range(first_cut, end, SUB_BATCH), end]
-    edge = edge_after(start) if at_edge is not None else end + 1
-    workspace = Workspace()
-    for lo, hi in list(zip(cuts, cuts[1:]))[lane::lanes]:
-        if halt is not None and halt.is_set():
-            return part
-        if edge <= lo:
-            at_edge(lo)
-            edge = edge_after(lo)
-        rec = record_batch(state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
-                           dims, workspace=workspace)
+def _range_stats(cfg: ExperimentConfig, state: RunState, records, checkpoint) -> None:
+    """Count records, (lo, hi, record) in sample order from state.n_total,
+    into state, calling checkpoint() at each edge state.n_total + i *
+    checkpoint_every and at cfg.samples.  A record that straddles an edge
+    is counted in two slices.  No other code knows the edges."""
+    edge = min(state.n_total + cfg.checkpoint_every, cfg.samples)
+    for lo, hi, rec in records:
         at = lo
         while at < hi:
-            # count up to the end of the sub-batch or the next edge in it
+            # count up to the end of the record or the next edge in it
             stop = min(hi, edge)
             rows = slice(at - lo, stop - lo)
             ppt = rec["ppt"][rows]
-            part.n_total += stop - at
-            part.n_ppt += int(ppt.sum())
-            for lb, h in part.hists.items():
+            state.n_total += stop - at
+            state.n_ppt += int(ppt.sum())
+            for lb, h in state.hists.items():
                 h.accumulate_many(rec[lb][rows], ppt)
-            part.joint.accumulate_many(rec["r_A"][rows], rec["R_B"][rows], ppt)
+            state.joint.accumulate_many(rec["r_A"][rows], rec["R_B"][rows], ppt)
             if stop == edge:
-                at_edge(edge)
-                edge = edge_after(edge)
+                checkpoint()
+                edge = min(edge + cfg.checkpoint_every, cfg.samples)
             at = stop
-        del rec, ppt  # free this sub-batch before drawing the next
-    if edge <= end:
-        at_edge(end)
-    return part
+        del rec, ppt  # free this record before the next is drawn
 
 
-def _lane(cfg: ExperimentConfig, start: int, lane: int, send, halt=None) -> None:
-    """Lane `lane` of cfg.workers over [start, cfg.samples), as a pool task
-    runs it: at each at_edge(upto) of its pass it calls send((lane, upto,
-    delta)), with delta its counts since the last message as
-    RunState.to_dict writes them, or None if it counted nothing since."""
-    part = RunState.fresh(cfg)
-
-    def ship(upto):
-        send((lane, upto, part.to_dict() if part.n_total else None))
-        part.n_total = part.n_ppt = 0
-        for h in [*part.hists.values(), part.joint]:
-            h.total[...] = 0
-            h.hits[...] = 0
-            h.out_total = h.out_hits = 0
-
-    _range_stats(cfg, start, cfg.samples - start, part, ship, lane, cfg.workers, halt)
-
-
-# a pool worker's lane queue and halt event, set by _join_pool
+# a pool worker's record queue and halt event, set by _join_pool
 _pool_link = None
 
 
 def _join_pool(queue, halt) -> None:
     global _pool_link
-    # a worker exits without flushing what the parent no longer reads (it
-    # reads every message of a run that ends normally), so a full pipe
-    # cannot hold up its exit
+    # a worker exits without flushing what the parent no longer reads, so a
+    # full pipe cannot hold up its exit
     queue.cancel_join_thread()
     _pool_link = queue, halt
 
 
 def _pool_lane(cfg: ExperimentConfig, start: int, lane: int) -> None:
+    """Lane `lane` of cfg.workers as a pool task: put its records on the
+    run's queue, waiting while it is full, until halt is set."""
     queue, halt = _pool_link
-    _lane(cfg, start, lane, queue.put, halt)
+    for item in _lane_records(cfg, start, lane, cfg.workers):
+        while not halt.is_set():
+            with suppress(Full):
+                queue.put(item, timeout=LANE_POLL_S)
+                break
+        else:  # halt is set
+            return
+        del item  # free this record before the next is drawn
 
 
-def _run_lanes(cfg: ExperimentConfig, state: RunState, checkpoint) -> None:
-    """Count [state.n_total, cfg.samples) into state on cfg.workers pool
-    lanes, calling checkpoint() at each edge state.n_total + i *
-    checkpoint_every and at the end, once every lane has passed it.
-
-    A lane's error, or BrokenProcessPool for a worker that died, ends the
-    run; on any error the lanes stop before their next sub-batch and the
-    pool is shut down before it propagates."""
-    start, every = state.n_total, cfg.checkpoint_every
+def _pool_records(cfg: ExperimentConfig, start: int):
+    """The records of [start, cfg.samples) in sample order, drawn by
+    cfg.workers pool lanes.  A lane's error, or BrokenProcessPool for a
+    worker that died, is raised here; once the caller stops, by an error or
+    by closing this generator, the lanes stop and the pool shuts down."""
     ctx = multiprocessing.get_context()
-    queue, halt = ctx.Queue(), ctx.Event()
-    # how far each lane has counted all of its samples, and the deltas of
-    # blocks not yet saved, by block number; a delta's samples lie in the
-    # block its lane had reached at its previous message
-    passed = [start] * cfg.workers
-    pending: dict[int, list[dict]] = {}
+    queue, halt = ctx.Queue(LANE_QUEUE * cfg.workers), ctx.Event()
     with ProcessPoolExecutor(cfg.workers, mp_context=ctx, initializer=_join_pool,
                              initargs=(queue, halt)) as pool:
         lanes = [pool.submit(_pool_lane, cfg, start, w) for w in range(cfg.workers)]
+        early = {}  # records read before their turn, by lo
         try:
-            while state.n_total < cfg.samples:
-                for f in lanes:  # raises a lane's error
-                    try:
-                        f.result(timeout=0)
-                    except FutureTimeout:
-                        pass
-                try:
-                    lane, upto, delta = queue.get(timeout=LANE_POLL_S)
-                except Empty:
-                    continue
-                if delta is not None:
-                    pending.setdefault((passed[lane] - start) // every, []).append(delta)
-                passed[lane] = upto
-                edge = min(state.n_total + every, cfg.samples)
-                while min(passed) >= edge > state.n_total:
-                    for d in pending.pop((state.n_total - start) // every, ()):
-                        state.merge(RunState.from_dict(d, cfg))
-                    if state.n_total != edge:  # never save a block with counts missing
-                        raise RuntimeError(f"the lanes' counts below {edge} "
-                                           f"hold {state.n_total} samples")
-                    checkpoint()
-                    edge = min(edge + every, cfg.samples)
+            for lo, _ in _cells(start, cfg.samples):
+                while lo not in early:
+                    for f in lanes:  # raises a lane's error
+                        with suppress(FutureTimeout):
+                            f.result(timeout=0)
+                    with suppress(Empty):
+                        got = queue.get(timeout=LANE_POLL_S)
+                        early[got[0]] = got
+                        del got  # keep no record past its turn
+                yield early.pop(lo)
         finally:
             halt.set()
 
@@ -520,13 +464,11 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
     block, so resume from the checkpoint, not from it."""
     if state is None:
         state = RunState.fresh(cfg)
-    t0 = time.perf_counter()
+    base, t0 = state.elapsed, time.perf_counter()
 
     def checkpoint():
-        # elapsed leaves out the checkpoint write and the progress line,
-        # though a pool's lanes sample on meanwhile
-        nonlocal t0
-        state.elapsed += time.perf_counter() - t0
+        # wall time, checkpoint writes included: a pool's lanes sample on
+        state.elapsed = base + (time.perf_counter() - t0)
         save_checkpoint(cfg, state)
         if progress:
             rate = state.n_total / max(state.elapsed, 1e-9)
@@ -539,13 +481,11 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
-        t0 = time.perf_counter()
 
-    if state.n_total < cfg.samples and cfg.workers == 1:
-        _range_stats(cfg, state.n_total, cfg.samples - state.n_total, state,
-                     lambda upto: checkpoint())
-    elif state.n_total < cfg.samples:
-        _run_lanes(cfg, state, checkpoint)
+    if state.n_total < cfg.samples:
+        draw = _lane_records if cfg.workers == 1 else _pool_records
+        with closing(draw(cfg, state.n_total)) as records:
+            _range_stats(cfg, state, records, checkpoint)
     return assemble_report(cfg, state)
 
 

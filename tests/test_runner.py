@@ -10,13 +10,15 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+from queue import Empty
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import packed
 from sepprob import cli
@@ -32,6 +34,15 @@ def small_cfg(tmp_path, **kw):
                 out_dir=str(tmp_path / "run"), checkpoint_every=10 ** 7)
     base.update(kw)
     return rn.ExperimentConfig(**base)
+
+
+def counted(cfg, lo: int, hi: int, state=None):
+    """state, a fresh one if None, with the samples [lo, hi) of cfg counted
+    into it in one in-process pass, saving no checkpoint."""
+    cfg = replace(cfg, samples=hi, checkpoint_every=hi)
+    state = rn.RunState.fresh(cfg) if state is None else state
+    rn._range_stats(cfg, state, rn._lane_records(cfg, lo), lambda: None)
+    return state
 
 
 def hist_state_dict(report):
@@ -193,7 +204,7 @@ def ck_dir(tmp_path_factory):
 def whole_range(tmp_path_factory):
     cfg = small_cfg(tmp_path_factory.mktemp("range"), dim_b=2, samples=10 ** 6)
     start, count = 5_000, 3 * rn.SUB_BATCH + 123
-    return cfg, start, count, rn._range_stats(cfg, start, count)
+    return cfg, start, count, counted(cfg, start, start + count)
 
 
 @pytest.fixture(scope="module")
@@ -333,14 +344,29 @@ class TestRunExperiment:
                          max_size=4, unique=True))
     def test_range_stats_split_equals_whole(self, whole_range, cuts):
         # an unaligned range whose sub-batches start mid-chunk, cut anywhere
+        # into consecutive ranges counted into one state
         cfg, start, count, whole = whole_range
         bounds = [start, *sorted(cuts), start + count]
-        merged = rn.RunState.fresh(cfg)
+        state = rn.RunState.fresh(cfg)
         for lo, hi in zip(bounds, bounds[1:]):
-            merged.merge(rn._range_stats(cfg, lo, hi - lo))
-        assert merged.to_dict() == whole.to_dict()
-        for h in merged.hists.values():
+            counted(cfg, lo, hi, state)
+        assert state.to_dict() == whole.to_dict()
+        for h in state.hists.values():
             assert int(h.total.sum()) + h.out_total == count
+
+    @settings(derandomize=True, max_examples=200)
+    @given(ends=st.lists(st.integers(0, 6).map(lambda b: b * rn.SUB_BATCH)
+                         | st.integers(0, 6 * rn.SUB_BATCH), min_size=2, max_size=2),
+           lanes=st.integers(1, 9))
+    def test_cells_from_their_numbers_equal_the_cuts(self, ends, lanes):
+        # starts and ends on the grid and off it, and lanes with no cells
+        start, end = sorted(ends)
+        assume(start < end)
+        first_cut = (start // rn.SUB_BATCH + 1) * rn.SUB_BATCH
+        cuts = [start, *range(first_cut, end, rn.SUB_BATCH), end]
+        cells = list(zip(cuts, cuts[1:]))
+        for lane in range(lanes):
+            assert list(rn._cells(start, end, lane, lanes)) == cells[lane::lanes]
 
     def test_checkpoint_every_independence(self, tmp_path):
         # blocks that end on, before and after chunk boundaries
@@ -374,7 +400,7 @@ class TestRunExperiment:
         assert [d["n_total"] for d in saved] == edges
         no_edges = replace(cfg, checkpoint_every=10 ** 7)
         for d, edge in zip(saved, edges):
-            want = rn._range_stats(no_edges, 0, edge).to_dict()
+            want = counted(no_edges, 0, edge).to_dict()
             assert {**d, "elapsed": 0.0} == want
 
     def test_one_worker_sub_batches_on_the_grid(self, tmp_path, monkeypatch):
@@ -394,10 +420,9 @@ class TestRunExperiment:
         assert calls[-1] == (12 * rn.SUB_BATCH, cfg.samples - 12 * rn.SUB_BATCH)
 
     def test_lanes_partition_the_grid(self, tmp_path, monkeypatch):
-        # three lanes from a resume point off the grid, with edges inside
-        # and between their sub-batches, run here one after another
-        cfg = small_cfg(tmp_path, dim_b=2, samples=80_000, workers=3,
-                        checkpoint_every=7_001)
+        # three lanes from a resume point off the grid: lane w draws the
+        # cells b = w (mod 3) of the run, each on the grid but the first
+        cfg = small_cfg(tmp_path, dim_b=2, samples=80_000, workers=3)
         start = 5_000
         cuts = [start, *range(rn.SUB_BATCH, cfg.samples, rn.SUB_BATCH), cfg.samples]
         cells = list(zip(cuts, cuts[1:]))
@@ -408,25 +433,57 @@ class TestRunExperiment:
             return real(measure, seed, lo, count, **kw)
 
         monkeypatch.setattr(rn, "state_batch", spy)
-        merged = rn.RunState.fresh(cfg)
-        edges = range(start + 7_001, cfg.samples, 7_001)
         for lane in range(3):
             draws.clear()
-            messages = []
-            rn._lane(cfg, start, lane, messages.append)
-            assert draws == cells[lane::3]
+            records = [(lo, hi) for lo, hi, _ in rn._lane_records(cfg, start, lane, 3)]
+            assert draws == records == cells[lane::3]
             assert all(lo % rn.SUB_BATCH == 0 for lo, _ in draws if lo != start)
-            edges_inside = sum(lo < e < hi for e in edges for lo, hi in draws)
-            assert len(messages) <= len(draws) + edges_inside + 1
-            assert [m[0] for m in messages] == [lane] * len(messages)
-            uptos = [m[1] for m in messages]
-            assert uptos == sorted(uptos) and uptos[-1] == cfg.samples
-            for _, _, delta in messages:
-                # an empty delta is sent as None
-                assert delta is None or delta["n_total"] > 0
-                if delta is not None:
-                    merged.merge(rn.RunState.from_dict(delta, cfg))
-        assert merged.to_dict() == rn._range_stats(cfg, start, cfg.samples - start).to_dict()
+
+    def test_lane_waits_on_a_full_queue_and_stops_on_halt(self, tmp_path, monkeypatch):
+        # a pool lane, run here in a thread, whose records nobody reads:
+        # it draws one more than the queue holds, then stops on halt
+        cfg = small_cfg(tmp_path, dim_b=2, samples=20 * rn.SUB_BATCH)
+        ctx = multiprocessing.get_context()
+        queue, halt = ctx.Queue(rn.LANE_QUEUE * cfg.workers), ctx.Event()
+        # a failing lane must not hold up this process's exit
+        queue.cancel_join_thread()
+        real, draws = rn.state_batch, []
+
+        def spy(measure, seed, lo, count, **kw):
+            draws.append(lo)
+            return real(measure, seed, lo, count, **kw)
+
+        monkeypatch.setattr(rn, "state_batch", spy)
+        monkeypatch.setattr(rn, "_pool_link", (queue, halt))
+        lane = threading.Thread(target=rn._pool_lane, args=(cfg, 0, 0), daemon=True)
+        lane.start()
+        deadline = time.monotonic() + 60
+        while len(draws) <= rn.LANE_QUEUE and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(5 * rn.LANE_POLL_S)
+        assert len(draws) == rn.LANE_QUEUE + 1 and lane.is_alive()
+        halted = time.monotonic()
+        halt.set()
+        lane.join(timeout=60)
+        assert time.monotonic() - halted < 2 * rn.LANE_POLL_S
+        assert len(draws) == rn.LANE_QUEUE + 1
+        got = [queue.get(timeout=60)[0] for _ in range(rn.LANE_QUEUE)]
+        assert got == draws[:rn.LANE_QUEUE]
+        with pytest.raises(Empty):
+            queue.get(timeout=rn.LANE_POLL_S)
+
+    def test_wall_time_counts_checkpoint_writes(self, tmp_path, monkeypatch):
+        # three blocks whose saves take 0.2 s each: the report's time holds
+        # the two before the last
+        cfg = small_cfg(tmp_path, dim_b=2, samples=3_000, checkpoint_every=1_000)
+        real = rn.save_checkpoint
+
+        def slow(c, state):
+            time.sleep(0.2)
+            return real(c, state)
+
+        monkeypatch.setattr(rn, "save_checkpoint", slow)
+        assert rn.run_experiment(cfg).wall_time >= 0.4
 
     @pytest.mark.parametrize("k, b", [(2, 4), (4, 10)])
     def test_induced_qubit_radius_fit(self, tmp_path, k, b):
@@ -533,7 +590,7 @@ class TestCheckpointResume:
         ck = rn.checkpoint_path(out)
         cfg, state = rn.load_checkpoint(ck)
         assert state.n_total == FAULT_EDGE
-        want = rn._range_stats(cfg, 0, FAULT_EDGE).to_dict()
+        want = counted(cfg, 0, FAULT_EDGE).to_dict()
         assert {**state.to_dict(), "elapsed": 0.0} == want
         saved = ck.read_bytes()
         for workers in (1, 2):
