@@ -51,10 +51,10 @@ sample's result is the same bits whatever batch it is computed in
 in others), and whether it takes the bisection's finish depends on its
 own entries only.
 
-The large arrays of a call come from a Workspace (below): one per lane
-of a run (runner._lane_records) lets every sub-batch after the first
-reuse pages already mapped.  Without one, each call makes
-its own.
+The large arrays of a call come from a Workspace (below): the runner's
+one per sampling process (one per pass on one worker, one per pool
+worker) lets every cell after the first reuse pages already mapped.
+Without one, each call makes its own.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def purity_batch(rhos: np.ndarray) -> np.ndarray:
 class Workspace:
     """Float buffers that the batch kernels of one sub-batch borrow, so that
     the next sub-batch writes into pages it already has instead of fresh
-    ones.  A caller makes one per run of sub-batches and drops it after.
+    ones.  A caller makes one for a run of sub-batches and keeps it for
+    that run.
 
     take(slot, *shapes) returns one view per shape into the slot's buffer.
     The views of one call do not overlap one another; those of a later call

@@ -26,13 +26,13 @@ below and the diagonal is real: every state is exactly Hermitian, and has
 the same bits in any batch.
 
 The draws, the factor's planes and the column sums live in the buffers of
-a matrix_core.Workspace.  runner._lane_records makes one per lane of a
-run (the whole run on one worker, one pool task for the whole run on
-more), passes it to every sub-batch the lane draws and then drops it, so
-after the first sub-batch these arrays fault in no fresh pages; a call
-given none makes its own.  rho itself never lives in a
-workspace: callers keep the states a call returns, so each call returns
-a fresh array.  No workspace is cached at module level.
+a matrix_core.Workspace.  The runner passes one workspace to every cell a
+process draws: one per pass on one worker, dropped after it, and one per
+pool worker, kept for the worker's life.  So after the first cell these
+arrays fault in no fresh pages; a call given none makes its own.  rho
+itself never lives in a workspace: callers keep the states a call
+returns, so each call returns a fresh array.  This module caches no
+workspace.
 
 Reproducibility: samples are grouped into fixed chunks of CHUNK_SAMPLES.
 Chunk c of master seed s has two substreams,

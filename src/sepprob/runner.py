@@ -1,15 +1,15 @@
-"""Experiment orchestration: config, the sampling lanes and the one
-counting loop, checkpoint/resume, report assembly and CSV export.
+"""Experiment orchestration: config, sampling by cells and the one counting
+loop, checkpoint/resume, report assembly and CSV export.
 
 A run's remaining sample indices are cut into cells on one global grid of
-SUB_BATCH samples, and lane w of W draws the records of the run's cells
-numbered w, w + W, w + 2W, ...  Lanes only sample: the caller's process
-counts every record into the run state in sample order, in one loop that
-saves a checkpoint at each block edge.  One worker is lane 0 of 1, drawn
-in process as it is counted; with more, each lane is one pool task for
-the whole run that puts its records on one bounded queue.  A sample's
-record does not depend on the batch it is computed in, so no result
-depends on worker count, block edges or scheduling order.
+SUB_BATCH samples.  Sampling makes one record per cell, and the caller's
+process counts every record into the run state in sample order, in one
+loop that saves a checkpoint at each block edge.  One worker draws the
+cells in process as they are counted; with more, each cell is one task of
+a process pool, and the parent reads the tasks' results in the order it
+submitted them.  A sample's record does not depend on the cell it is
+computed in, so no result depends on worker count, block edges or
+scheduling order.
 
 A checkpoint is a line with the sha256 hex digest of the bytes after it,
 then one JSON object: the config and its hash, the sample and PPT counts
@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FutureTimeout
-from contextlib import closing, suppress
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import cache
 from math import isfinite
 from pathlib import Path
-from queue import Empty, Full
 
 import numpy as np
 
@@ -43,16 +43,10 @@ from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
                     ratio_with_ci, read_count)
 
-# samples per cell of the lanes' grid, cut at multiples of it in the global
+# samples per cell of the run's grid, cut at multiples of it in the global
 # sample index: only a run's first cell, at a resume point, can start
-# mid-chunk, and every lane draws whole chunks
+# mid-chunk, and no chunk is split between two cells
 SUB_BATCH = 2 * CHUNK_SAMPLES
-# records a pool's queue holds per lane; a lane whose put finds the queue
-# full waits, so records not yet counted stay few
-LANE_QUEUE = 4
-# seconds the parent of a pool waits for a record, and a lane for room on
-# the queue, before it checks whether a lane or the run has stopped
-LANE_POLL_S = 0.1
 
 # the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
 MAX_BINS = 2048
@@ -223,26 +217,31 @@ def _count_sum(counts: np.ndarray) -> int:
     return int(counts.sum(dtype=np.uint64))
 
 
-def _cells(start: int, end: int, lane: int = 0, lanes: int = 1):
-    """(lo, hi) of the cells i = lane (mod lanes) of [start, end), in order:
-    cell i is [b * SUB_BATCH, (b + 1) * SUB_BATCH) with b = start //
-    SUB_BATCH + i, cut to the range.  No list of cells is ever built."""
-    b = start // SUB_BATCH + lane
+def _cells(start: int, end: int):
+    """(lo, hi) of the cells of [start, end), in order: cell i is
+    [b * SUB_BATCH, (b + 1) * SUB_BATCH) with b = start // SUB_BATCH + i,
+    cut to the range.  No list of cells is ever built."""
+    b = start // SUB_BATCH
     while (lo := max(b * SUB_BATCH, start)) < end:
         yield lo, min((b + 1) * SUB_BATCH, end)
-        b += lanes
+        b += 1
 
 
-def _lane_records(cfg: ExperimentConfig, start: int, lane: int = 0, lanes: int = 1):
-    """(lo, hi, record) for each cell of lane `lane` of `lanes` over
-    [start, cfg.samples), in order.  One workspace serves the whole pass, so
-    after the first cell the kernels fault in no fresh pages; the states of
-    a cell are a fresh array, freed as soon as they are recorded."""
-    measure, workspace = MeasureSpec(cfg.n, cfg.k), Workspace()
-    for lo, hi in _cells(start, cfg.samples, lane, lanes):
-        yield lo, hi, record_batch(
-            state_batch(measure, cfg.seed, lo, hi - lo, workspace=workspace),
-            (cfg.dim_a, cfg.dim_b), workspace=workspace)
+def _record(cfg: ExperimentConfig, lo: int, hi: int, workspace: Workspace) -> dict:
+    """The record of the samples [lo, hi) of cfg's run.  The states are a
+    fresh array, freed as soon as they are recorded."""
+    return record_batch(
+        state_batch(MeasureSpec(cfg.n, cfg.k), cfg.seed, lo, hi - lo, workspace=workspace),
+        (cfg.dim_a, cfg.dim_b), workspace=workspace)
+
+
+def _cell_records(cfg: ExperimentConfig, start: int):
+    """(lo, hi, record) for each cell of [start, cfg.samples), in order,
+    drawn in this process.  One workspace serves the whole pass, so after
+    the first cell the kernels fault in no fresh pages."""
+    workspace = Workspace()
+    for lo, hi in _cells(start, cfg.samples):
+        yield lo, hi, _record(cfg, lo, hi, workspace)
 
 
 def _range_stats(cfg: ExperimentConfig, state: RunState, records, checkpoint) -> None:
@@ -270,56 +269,37 @@ def _range_stats(cfg: ExperimentConfig, state: RunState, records, checkpoint) ->
         del rec, ppt  # free this record before the next is drawn
 
 
-# a pool worker's record queue and halt event, set by _join_pool
-_pool_link = None
+@cache
+def _worker_workspace() -> Workspace:
+    """A pool worker's one workspace, made at its first cell and kept for
+    the worker's life."""
+    return Workspace()
 
 
-def _join_pool(queue, halt) -> None:
-    global _pool_link
-    # a worker exits without flushing what the parent no longer reads, so a
-    # full pipe cannot hold up its exit
-    queue.cancel_join_thread()
-    _pool_link = queue, halt
-
-
-def _pool_lane(cfg: ExperimentConfig, start: int, lane: int) -> None:
-    """Lane `lane` of cfg.workers as a pool task: put its records on the
-    run's queue, waiting while it is full, until halt is set."""
-    queue, halt = _pool_link
-    for item in _lane_records(cfg, start, lane, cfg.workers):
-        while not halt.is_set():
-            with suppress(Full):
-                queue.put(item, timeout=LANE_POLL_S)
-                break
-        else:  # halt is set
-            return
-        del item  # free this record before the next is drawn
+def _pool_cell(cfg: ExperimentConfig, lo: int, hi: int):
+    """(lo, hi, record) of the cell [lo, hi), as a pool task."""
+    return lo, hi, _record(cfg, lo, hi, _worker_workspace())
 
 
 def _pool_records(cfg: ExperimentConfig, start: int):
-    """The records of [start, cfg.samples) in sample order, drawn by
-    cfg.workers pool lanes.  A lane's error, or BrokenProcessPool for a
-    worker that died, is raised here; once the caller stops, by an error or
-    by closing this generator, the lanes stop and the pool shuts down."""
-    ctx = multiprocessing.get_context()
-    queue, halt = ctx.Queue(LANE_QUEUE * cfg.workers), ctx.Event()
-    with ProcessPoolExecutor(cfg.workers, mp_context=ctx, initializer=_join_pool,
-                             initargs=(queue, halt)) as pool:
-        lanes = [pool.submit(_pool_lane, cfg, start, w) for w in range(cfg.workers)]
-        early = {}  # records read before their turn, by lo
-        try:
-            for lo, _ in _cells(start, cfg.samples):
-                while lo not in early:
-                    for f in lanes:  # raises a lane's error
-                        with suppress(FutureTimeout):
-                            f.result(timeout=0)
-                    with suppress(Empty):
-                        got = queue.get(timeout=LANE_POLL_S)
-                        early[got[0]] = got
-                        del got  # keep no record past its turn
-                yield early.pop(lo)
-        finally:
-            halt.set()
+    """The records of [start, cfg.samples) in sample order, one pool task
+    per cell.  At most cfg.workers + 1 cells, the executor's own call-queue
+    depth, are submitted and not yet yielded.  A task's error, or
+    BrokenProcessPool for a worker that died, is raised here; once the
+    caller stops, by an error or by closing this generator, the cells not
+    yet started are cancelled and the pool shuts down.  A future is only
+    read with result(): the benchmark's traced pool times that call and
+    gives its futures no other method."""
+    pool, window = ProcessPoolExecutor(cfg.workers), deque()
+    try:
+        for lo, hi in _cells(start, cfg.samples):
+            window.append(pool.submit(_pool_cell, cfg, lo, hi))
+            if len(window) > cfg.workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass
@@ -467,7 +447,7 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
     base, t0 = state.elapsed, time.perf_counter()
 
     def checkpoint():
-        # wall time, checkpoint writes included: a pool's lanes sample on
+        # wall time, checkpoint writes included: a pool's workers sample on
         state.elapsed = base + (time.perf_counter() - t0)
         save_checkpoint(cfg, state)
         if progress:
@@ -483,7 +463,7 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
                 os.close(devnull)
 
     if state.n_total < cfg.samples:
-        draw = _lane_records if cfg.workers == 1 else _pool_records
+        draw = _cell_records if cfg.workers == 1 else _pool_records
         with closing(draw(cfg, state.n_total)) as records:
             _range_stats(cfg, state, records, checkpoint)
     return assemble_report(cfg, state)

@@ -10,11 +10,9 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
-from queue import Empty
 
 import numpy as np
 import pytest
@@ -41,7 +39,7 @@ def counted(cfg, lo: int, hi: int, state=None):
     into it in one in-process pass, saving no checkpoint."""
     cfg = replace(cfg, samples=hi, checkpoint_every=hi)
     state = rn.RunState.fresh(cfg) if state is None else state
-    rn._range_stats(cfg, state, rn._lane_records(cfg, lo), lambda: None)
+    rn._range_stats(cfg, state, rn._cell_records(cfg, lo), lambda: None)
     return state
 
 
@@ -67,14 +65,14 @@ def run_interrupted(monkeypatch, cfg, blocks: int) -> None:
             rn.run_experiment(cfg)
 
 
-# a two-lane run whose fault comes at the sub-batch [24576, 32768) of lane
-# 1, after the checkpoint at 20000 and before lane 1 passes 30000
+# a two-worker run whose fault comes at the cell [24576, 32768), after the
+# checkpoint at 20000 and before the run passes 30000
 FAULT_RUN = dict(dim_b=2, samples=45_000, seed=5, checkpoint_every=10_000)
 FAULT_AT, FAULT_EDGE = 3 * rn.SUB_BATCH, 20_000
 
 
 def pool_fault_run(fault: str, out_dir: str) -> None:
-    """Run FAULT_RUN on two workers with a fault injected: a lane that
+    """Run FAULT_RUN on two workers with a fault injected: a cell that
     raises ("raise") or whose worker exits ("exit") at FAULT_AT once the
     checkpoint at FAULT_EDGE is on disk, or a failed third save ("save").
     Prints the error and how many child processes are left; meant for a
@@ -100,13 +98,23 @@ def pool_fault_run(fault: str, out_dir: str) -> None:
         run_interrupted(monkeypatch, cfg, blocks=2)
         error = "RuntimeError: injected fault"
     else:
-        # set before the pool forks, so the lanes inherit it
+        # set before the pool forks, so its workers inherit it
         monkeypatch.setattr(rn, "state_batch", faulty)
         try:
             rn.run_experiment(cfg)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
     print(json.dumps({"error": error, "children": len(multiprocessing.active_children())}))
+
+
+def recording_pool(on_submit):
+    """A ProcessPoolExecutor that calls on_submit(lo, hi) for each cell
+    submitted to it, before submitting it."""
+    class RecordingPool(rn.ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            on_submit(*args[1:3])
+            return super().submit(fn, *args, **kwargs)
+    return RecordingPool
 
 
 def without_elapsed(body: bytes) -> bytes:
@@ -321,9 +329,9 @@ class TestRunExperiment:
         assert np.array_equal(rep.joint.total.sum(axis=0), rep.hists["R_B"].total)
 
     def test_worker_count_independence(self, tmp_path, monkeypatch):
-        # lanes of one sub-batch each, a lane with none, and lanes of two
-        # sub-batches with edges inside and between them, also resumed from
-        # the save at 3001, off the SUB_BATCH grid
+        # pools with fewer cells than workers, as many, and more cells with
+        # edges inside and between them, also resumed from the save at 3001,
+        # off the SUB_BATCH grid
         for samples, workers, every in ((10_000, 2, 10 ** 7), (10_001, 3, 10 ** 7),
                                         (30_000, 2, 3_001), (30_000, 3, 3_001)):
             cfgs = [small_cfg(tmp_path / f"{samples}-{every}-{w}", samples=samples,
@@ -356,17 +364,14 @@ class TestRunExperiment:
 
     @settings(derandomize=True, max_examples=200)
     @given(ends=st.lists(st.integers(0, 6).map(lambda b: b * rn.SUB_BATCH)
-                         | st.integers(0, 6 * rn.SUB_BATCH), min_size=2, max_size=2),
-           lanes=st.integers(1, 9))
-    def test_cells_from_their_numbers_equal_the_cuts(self, ends, lanes):
-        # starts and ends on the grid and off it, and lanes with no cells
+                         | st.integers(0, 6 * rn.SUB_BATCH), min_size=2, max_size=2))
+    def test_cells_from_their_numbers_equal_the_cuts(self, ends):
+        # starts and ends on the grid and off it
         start, end = sorted(ends)
         assume(start < end)
         first_cut = (start // rn.SUB_BATCH + 1) * rn.SUB_BATCH
         cuts = [start, *range(first_cut, end, rn.SUB_BATCH), end]
-        cells = list(zip(cuts, cuts[1:]))
-        for lane in range(lanes):
-            assert list(rn._cells(start, end, lane, lanes)) == cells[lane::lanes]
+        assert list(rn._cells(start, end)) == list(zip(cuts, cuts[1:]))
 
     def test_checkpoint_every_independence(self, tmp_path):
         # blocks that end on, before and after chunk boundaries
@@ -384,8 +389,8 @@ class TestRunExperiment:
     def test_each_checkpoint_counts_its_prefix(self, tmp_path, monkeypatch, every,
                                                workers):
         # edges inside sub-batches, on their ends, across several of them
-        # and, with more lanes, between a lane's sub-batches: each save holds
-        # the counts of [0, edge) exactly
+        # and, with more workers, between cells drawn in different workers:
+        # each save holds the counts of [0, edge) exactly
         cfg = small_cfg(tmp_path, dim_b=2, samples=45_000, checkpoint_every=every,
                         workers=workers)
         real, saved = rn.save_checkpoint, []
@@ -419,58 +424,42 @@ class TestRunExperiment:
         assert [count for _, count in calls[:-1]] == [rn.SUB_BATCH] * 12
         assert calls[-1] == (12 * rn.SUB_BATCH, cfg.samples - 12 * rn.SUB_BATCH)
 
-    def test_lanes_partition_the_grid(self, tmp_path, monkeypatch):
-        # three lanes from a resume point off the grid: lane w draws the
-        # cells b = w (mod 3) of the run, each on the grid but the first
+    def test_pool_submits_each_cell_once_in_order(self, tmp_path, monkeypatch):
+        # three workers from a resume point off the grid: the pool submits
+        # each cell of the run once and yields them in order, each on the
+        # grid but the first
         cfg = small_cfg(tmp_path, dim_b=2, samples=80_000, workers=3)
         start = 5_000
         cuts = [start, *range(rn.SUB_BATCH, cfg.samples, rn.SUB_BATCH), cfg.samples]
-        cells = list(zip(cuts, cuts[1:]))
-        real, draws = rn.state_batch, []
+        submitted = []
+        monkeypatch.setattr(rn, "ProcessPoolExecutor",
+                            recording_pool(lambda lo, hi: submitted.append((lo, hi))))
+        with contextlib.closing(rn._pool_records(cfg, start)) as records:
+            got = [(lo, hi) for lo, hi, _ in records]
+        assert got == submitted == list(zip(cuts, cuts[1:]))
 
-        def spy(measure, seed, lo, count, **kw):
-            draws.append((lo, lo + count))
-            return real(measure, seed, lo, count, **kw)
+    def test_pool_window_and_stop_on_close(self, tmp_path, monkeypatch):
+        # the pool keeps up to workers + 1 cells submitted and not yet
+        # yielded, and no more; closed two records in, it submits nothing
+        # more and leaves no worker process
+        cfg = small_cfg(tmp_path, dim_b=2, samples=20 * rn.SUB_BATCH, workers=2)
+        submitted, yielded, in_flight = [], [], []
 
-        monkeypatch.setattr(rn, "state_batch", spy)
-        for lane in range(3):
-            draws.clear()
-            records = [(lo, hi) for lo, hi, _ in rn._lane_records(cfg, start, lane, 3)]
-            assert draws == records == cells[lane::3]
-            assert all(lo % rn.SUB_BATCH == 0 for lo, _ in draws if lo != start)
+        def on_submit(lo, hi):
+            submitted.append(lo)
+            in_flight.append(len(submitted) - len(yielded))
 
-    def test_lane_waits_on_a_full_queue_and_stops_on_halt(self, tmp_path, monkeypatch):
-        # a pool lane, run here in a thread, whose records nobody reads:
-        # it draws one more than the queue holds, then stops on halt
-        cfg = small_cfg(tmp_path, dim_b=2, samples=20 * rn.SUB_BATCH)
-        ctx = multiprocessing.get_context()
-        queue, halt = ctx.Queue(rn.LANE_QUEUE * cfg.workers), ctx.Event()
-        # a failing lane must not hold up this process's exit
-        queue.cancel_join_thread()
-        real, draws = rn.state_batch, []
-
-        def spy(measure, seed, lo, count, **kw):
-            draws.append(lo)
-            return real(measure, seed, lo, count, **kw)
-
-        monkeypatch.setattr(rn, "state_batch", spy)
-        monkeypatch.setattr(rn, "_pool_link", (queue, halt))
-        lane = threading.Thread(target=rn._pool_lane, args=(cfg, 0, 0), daemon=True)
-        lane.start()
-        deadline = time.monotonic() + 60
-        while len(draws) <= rn.LANE_QUEUE and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(5 * rn.LANE_POLL_S)
-        assert len(draws) == rn.LANE_QUEUE + 1 and lane.is_alive()
-        halted = time.monotonic()
-        halt.set()
-        lane.join(timeout=60)
-        assert time.monotonic() - halted < 2 * rn.LANE_POLL_S
-        assert len(draws) == rn.LANE_QUEUE + 1
-        got = [queue.get(timeout=60)[0] for _ in range(rn.LANE_QUEUE)]
-        assert got == draws[:rn.LANE_QUEUE]
-        with pytest.raises(Empty):
-            queue.get(timeout=rn.LANE_POLL_S)
+        monkeypatch.setattr(rn, "ProcessPoolExecutor", recording_pool(on_submit))
+        records = rn._pool_records(cfg, 0)
+        for lo, _, _ in records:
+            yielded.append(lo)
+            if len(yielded) == 2:
+                break
+        records.close()
+        assert max(in_flight) == cfg.workers + 1
+        assert yielded == [0, rn.SUB_BATCH]
+        assert len(submitted) == len(yielded) + cfg.workers
+        assert multiprocessing.active_children() == []
 
     def test_wall_time_counts_checkpoint_writes(self, tmp_path, monkeypatch):
         # three blocks whose saves take 0.2 s each: the report's time holds
@@ -568,10 +557,10 @@ class TestCheckpointResume:
         ("save", "RuntimeError: injected fault")], ids=["raise", "exit", "save"])
     def test_pool_fault_ends_run_at_last_edge(self, tmp_path, fault_run_outputs,
                                              fault, error):
-        # a lane's error, a dead worker or a failed save in the parent ends a
-        # two-lane run with that error and no process left, the checkpoint
-        # at the last edge both lanes passed; resuming from it on one or two
-        # workers writes the bytes of a straight run
+        # a cell's error, a dead worker or a failed save in the parent ends a
+        # two-worker run with that error and no process left, the checkpoint
+        # at the last edge the counted cells passed; resuming from it on one
+        # or two workers writes the bytes of a straight run
         out = tmp_path / "faulty"
         code = f"import test_runner; test_runner.pool_fault_run({fault!r}, {str(out)!r})"
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
