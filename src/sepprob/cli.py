@@ -108,7 +108,7 @@ def _cmd_report(args) -> int:
         else Path(args.in_dir)
     cfg, state = load_checkpoint(ck)
     report = assemble_report(cfg, state)
-    files = export(report, args.out or cfg.out_dir)
+    files = export(report, args.out or ck.parent)
     print(f"re-emitted {len(files)} files from {ck}")
     return 0
 
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("report", help="re-emit outputs from a checkpoint")
     r.add_argument("--in", dest="in_dir", required=True,
                    help="run directory or checkpoint file")
-    r.add_argument("--out", help="output directory (default: config out_dir)")
+    r.add_argument("--out", help="output directory (default: the checkpoint's)")
     r.set_defaults(func=_cmd_report)
     return ap
 

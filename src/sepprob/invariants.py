@@ -173,16 +173,15 @@ def axis_labels(dims: tuple[int, int]) -> list[str]:
     return labels
 
 
-def record_batch(rhos: np.ndarray, dims: tuple[int, int], *,
-                 workspace: mc.Workspace | None = None) -> dict:
+def record_batch(rhos: np.ndarray, dims: tuple[int, int]) -> dict:
     """PPT flags ("ppt") and one array per axis_labels(dims) entry of
     bipartite states (..., m*n, m*n).  The reduced states and the PPT
-    kernel's arrays live in the workspace's buffers; the reduced states are
-    done with before the kernel takes them over."""
-    ws = mc.Workspace() if workspace is None else workspace
+    kernel's arrays live in the calling thread's buffers
+    (matrix_core.take_buffers); the reduced states are done with before the
+    kernel takes them over."""
     m, n, lead = *dims, rhos.shape[:-2]
     # batch-last, like the states of random_states.state_batch
-    rho_a, rho_b = (np.moveaxis(t, (0, 1), (-2, -1)) for t in ws.take(
+    rho_a, rho_b = (np.moveaxis(t, (0, 1), (-2, -1)) for t in mc.take_buffers(
         "planes", (m, m, *lead), (n, n, *lead), dtype=complex))
     mc.partial_trace_batch(rhos, dims, "A", out=rho_a)
     mc.partial_trace_batch(rhos, dims, "B", out=rho_b)
@@ -198,5 +197,5 @@ def record_batch(rhos: np.ndarray, dims: tuple[int, int], *,
         "C002": lambda: fano_correlation_invariant_batch(rhos, c2_a, c2_b),
     }
     out = {lb: derived[lb]() for lb in axis_labels(dims)}
-    out["ppt"] = mc.min_pt_eigenvalue_batch(rhos, dims, workspace=ws) >= -mc.PPT_TOL
+    out["ppt"] = mc.min_pt_eigenvalue_batch(rhos, dims) >= -mc.PPT_TOL
     return out

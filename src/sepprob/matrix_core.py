@@ -51,16 +51,17 @@ sample's result is the same bits whatever batch it is computed in
 in others), and whether it takes the bisection's finish depends on its
 own entries only.
 
-The large arrays of a call come from a Workspace (below): the runner's
-one per sampling process (one per pass on one worker, one per pool
-worker) lets every cell after the first reuse pages already mapped.
-Without one, each call makes its own.
+The large arrays of a call live in the calling thread's buffers
+(take_buffers, below): a pool worker keeps its buffers for its life, and
+the runner's one-worker pass gives its thread's back when it ends.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
 
 import numpy as np
 
@@ -141,18 +142,20 @@ def purity_batch(rhos: np.ndarray) -> np.ndarray:
     return acc[()]
 
 
-class Workspace:
-    """Float buffers that the batch kernels of one sub-batch borrow, so that
-    the next sub-batch writes into pages it already has instead of fresh
-    ones.  A caller makes one for a run of sub-batches and keeps it for
-    that run.
+# the calling thread's buffers by slot, and the process that made them
+_thread = threading.local()
 
-    take(slot, *shapes) returns one view per shape into the slot's buffer.
+
+def take_buffers(slot: str, *shapes: tuple[int, ...], dtype=float) -> list[np.ndarray]:
+    """One view per shape into the calling thread's buffer for slot.  A slot
+    grows to the largest call it has seen and keeps its pages until
+    release_buffers(), so a thread's later sub-batches map no fresh ones.
+
     The views of one call do not overlap one another; those of a later call
     on the same slot overlap them, so a phase takes a slot only once the
     phase before it is done with what it took there.  Nothing a public
-    function returns lives in a workspace.  A slot grows to the largest call
-    it has seen.  The slots and their phases, in the order they run:
+    function returns lives in a buffer.  The slots and their phases, in
+    the order they run:
 
     - "rows": state_batch's normals and gammas, then its column
       accumulators; min_pt_eigenvalue_batch's tridiagonal matrices and
@@ -160,31 +163,34 @@ class Workspace:
     - "planes": state_batch's factor planes; record_batch's reduced states;
       the planes of rho^Gamma, then the eigenvalue stage's buffers.
     """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, slot: str, *shapes: tuple[int, ...], dtype=float) -> list[np.ndarray]:
-        per = np.dtype(dtype).itemsize // 8
-        sizes = [math.prod(shape) * per for shape in shapes]
-        # every view starts a multiple of 64 bytes into the page-aligned
-        # buffer
-        starts = [0]
-        for size in sizes:
-            starts.append(starts[-1] + -(-size // 8) * 8)
-        buf = self._buffers.get(slot)
-        if buf is None or buf.size < starts[-1]:
-            # an anonymous map of its own, not heap memory: it goes back to
-            # the system with the workspace, and the heap that the returned
-            # states and the histograms share neither fragments around it
-            # nor moves its mmap threshold for it
-            buf = self._buffers[slot] = np.frombuffer(mmap.mmap(-1, 8 * max(starts[-1], 1)))
-        return [buf[a:a + size].view(dtype).reshape(shape)
-                for a, size, shape in zip(starts, sizes, shapes)]
+    per = np.dtype(dtype).itemsize // 8
+    sizes = [math.prod(shape) * per for shape in shapes]
+    # every view starts a multiple of 64 bytes into the page-aligned buffer
+    starts = [0]
+    for size in sizes:
+        starts.append(starts[-1] + -(-size // 8) * 8)
+    if getattr(_thread, "pid", None) != os.getpid():
+        # a forked child shares its parent's mmap(-1, n) pages: it drops the
+        # maps it did not make, so it never writes into another process's
+        _thread.pid, _thread.slots = os.getpid(), {}
+    buf = _thread.slots.get(slot)
+    if buf is None or buf.size < starts[-1]:
+        # an anonymous map of its own, not heap memory: it goes back to the
+        # system when released, and the heap that the returned states and
+        # the histograms share neither fragments around it nor moves its
+        # mmap threshold for it
+        buf = _thread.slots[slot] = np.frombuffer(mmap.mmap(-1, 8 * max(starts[-1], 1)))
+    return [buf[a:a + size].view(dtype).reshape(shape)
+            for a, size, shape in zip(starts, sizes, shapes)]
 
 
-def _tridiagonal(re: np.ndarray, im: np.ndarray,
-                 workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
+def release_buffers() -> None:
+    """Give the calling thread's buffers back to the system; its next
+    kernel call maps fresh ones."""
+    _thread.__dict__.clear()
+
+
+def _tridiagonal(re: np.ndarray, im: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Householder tridiagonalisation of Hermitian matrices re + i*im of
     shape (d, d, B): the diagonal (d, B) and the squared off-diagonal
     moduli (d-1, B) of a unitarily similar tridiagonal matrix.
@@ -197,7 +203,7 @@ def _tridiagonal(re: np.ndarray, im: np.ndarray,
     """
     d, batch = re.shape[0], re.shape[2]
     block = (max(d - 1, 0), batch)
-    diag, e2, *rows, (norm, scale, phase_r, phase_i, half) = workspace.take(
+    diag, e2, *rows, (norm, scale, phase_r, phase_i, half) = take_buffers(
         "rows", (d, batch), *[block] * 7, (5, batch))
     im.reshape(d * d, batch)[::d + 1] = 0.0
     for k in range(d - 2):
@@ -309,8 +315,7 @@ def _bisect(diag, e2, lo, width, steps, q, ratio, step) -> None:
         lo += step
 
 
-def _lowest_eigenvalue(diag: np.ndarray, e2: np.ndarray,
-                       workspace: Workspace) -> np.ndarray:
+def _lowest_eigenvalue(diag: np.ndarray, e2: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue l_1 of the real symmetric tridiagonal matrices
     with diagonal diag (d, B) and squared off-diagonal e2 (d-1, B), by step
     2 of the module docstring.
@@ -323,7 +328,7 @@ def _lowest_eigenvalue(diag: np.ndarray, e2: np.ndarray,
     in [x, y] and keeps x.
     """
     d, batch = diag.shape
-    q, radius, lo, width, tol, y, s, u, ratio = workspace.take(
+    q, radius, lo, width, tol, y, s, u, ratio = take_buffers(
         "planes", (d, batch), (d, batch), *[(batch,)] * 7)
     e = np.sqrt(e2, out=q[:d - 1])
     radius.fill(0.0)
@@ -354,8 +359,7 @@ def _lowest_eigenvalue(diag: np.ndarray, e2: np.ndarray,
     return x
 
 
-def min_pt_eigenvalue_batch(rhos: np.ndarray, dims: tuple[int, int], *,
-                            workspace: Workspace | None = None) -> np.ndarray:
+def min_pt_eigenvalue_batch(rhos: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Smallest eigenvalue of the partial transpose over B, shape (...).
 
     The state is PPT when this is >= -PPT_TOL; PPT equals separability for
@@ -363,16 +367,15 @@ def min_pt_eigenvalue_batch(rhos: np.ndarray, dims: tuple[int, int], *,
     Raises LinAlgError on non-finite entries, and on entries beyond about
     1e150 in modulus, whose squares overflow.
     """
-    ws = Workspace() if workspace is None else workspace
     d, batch = rhos.shape[-1], math.prod(rhos.shape[:-2])
     # the real and imaginary planes of rho^Gamma, the flattened batch last;
     # on batch-last input the copy reads contiguous rows
     pt = np.moveaxis(_pt_view(rhos.reshape((batch, d, d)), dims), 0, -1)
-    re, im = ws.take("planes", pt.shape, pt.shape)
+    re, im = take_buffers("planes", pt.shape, pt.shape)
     np.copyto(re, pt.real)
     np.copyto(im, pt.imag)
     with np.errstate(invalid="ignore", over="ignore"):  # such input is refused below
-        diag, e2 = _tridiagonal(re.reshape(d, d, batch), im.reshape(d, d, batch), ws)
+        diag, e2 = _tridiagonal(re.reshape(d, d, batch), im.reshape(d, d, batch))
     if not (np.isfinite(diag).all() and np.isfinite(e2).all()):
         raise np.linalg.LinAlgError("partial transpose has non-finite or overflowing entries")
-    return _lowest_eigenvalue(diag, e2, ws).reshape(rhos.shape[:-2])[()]
+    return _lowest_eigenvalue(diag, e2).reshape(rhos.shape[:-2])[()]

@@ -25,14 +25,11 @@ Each entry above the diagonal is written as the exact conjugate of the one
 below and the diagonal is real: every state is exactly Hermitian, and has
 the same bits in any batch.
 
-The draws, the factor's planes and the column sums live in the buffers of
-a matrix_core.Workspace.  The runner passes one workspace to every cell a
-process draws: one per pass on one worker, dropped after it, and one per
-pool worker, kept for the worker's life.  So after the first cell these
-arrays fault in no fresh pages; a call given none makes its own.  rho
-itself never lives in a workspace: callers keep the states a call
-returns, so each call returns a fresh array.  This module caches no
-workspace.
+The draws, the factor's planes and the column sums live in the calling
+thread's buffers (matrix_core.take_buffers), so after a thread's first
+call these arrays fault in no fresh pages.  rho itself never lives in
+them: callers keep the states a call returns, so each call returns a
+fresh array.
 
 Reproducibility: samples are grouped into fixed chunks of CHUNK_SAMPLES.
 Chunk c of master seed s has two substreams,
@@ -69,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .matrix_core import Workspace
+from .matrix_core import take_buffers
 
 CHUNK_SAMPLES = 4096
 # the draw format above; a change to it bumps this, never a setting
@@ -121,11 +118,11 @@ def ginibre_batch(n: int, k: int, master_seed: int, start: int,
 
 
 def state_batch(measure: MeasureSpec, master_seed: int, start: int,
-                count: int, *, workspace: Workspace | None = None) -> np.ndarray:
+                count: int) -> np.ndarray:
     """Density matrices for sample indices [start, start+count), shape
     (count, n, n): the view of a fresh (n, n, count) array, whose every
     entry is one contiguous row over the batch.  The draws, the factor's
-    planes and the column sums go through the workspace's buffers.
+    planes and the column sums go through the calling thread's buffers.
 
     rho_ij = sum_{k <= min(i, j)} Lh_ik conj(Lh_jk) for i >= j, summed over k
     in order by plain multiplies and adds on the real and imaginary planes
@@ -133,12 +130,11 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     entry above the diagonal is the exact conjugate and the diagonal is
     real, so every state is exactly Hermitian.
     """
-    ws = Workspace() if workspace is None else workspace
     n, k = measure.n, measure.k
     r = min(n, k)
     widths = [min(i, r) for i in range(n)]
     m = sum(widths)
-    z, g = ws.take("rows", (count, 2 * m), (count, r))
+    z, g = take_buffers("rows", (count, 2 * m), (count, r))
     _normals(master_seed, start, z)
     shapes = np.arange(k, k - r, -1, dtype=float)
     _draws(master_seed, 1, start, g, lambda rng, a: rng.standard_gamma(shapes, out=a))
@@ -150,7 +146,7 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     s = 1.0 / np.sqrt(np.einsum("si,si->s", z, z) + g.sum(axis=1))
     # the real and imaginary planes of Lh, (2, n, r, count); the loop below
     # reads no entry above the diagonal
-    planes, = ws.take("planes", (2, n, r, count))
+    planes, = take_buffers("planes", (2, n, r, count))
     parts = z.reshape(count, m, 2).transpose(2, 1, 0)  # (2, m, count) view
     pos = 0
     for i, w in enumerate(widths):
@@ -163,7 +159,7 @@ def state_batch(measure: MeasureSpec, master_seed: int, start: int,
     li.reshape(n * r, count)[:r * (r + 1):r + 1] = 0.0
     rho = np.empty((n, n, count), dtype=complex)
     # the draws are used up: the column sums take their rows
-    sum_re, sum_im, tmp = ws.take("rows", (n, count), (n, count), (n, count))
+    sum_re, sum_im, tmp = take_buffers("rows", (n, count), (n, count), (n, count))
     for j in range(n):
         # column j on and below the diagonal
         acc_re, acc_im, t = sum_re[:n - j], sum_im[:n - j], tmp[:n - j]

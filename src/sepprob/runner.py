@@ -30,14 +30,13 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from functools import cache
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from .invariants import AXIS_RANGES, axis_labels, record_batch
-from .matrix_core import Workspace
+from .matrix_core import release_buffers
 from .random_states import CHUNK_SAMPLES, STREAM_VERSION, MeasureSpec, state_batch
 from .stats import (Axis, HistogramPair, JointHistogram, InsufficientData,
                     decode_histogram, encode_histogram, fit_scale, flatness_test,
@@ -50,9 +49,10 @@ SUB_BATCH = 2 * CHUNK_SAMPLES
 
 # the r_A x R_B joint holds two bins**2 int64 layers: 64 MiB at this cap
 MAX_BINS = 2048
-# a pool forks all of its workers at the first submit
+# a pool starts all of its workers at its first submit under fork, and
+# under spawn or forkserver one at each submit that finds none idle
 MAX_WORKERS = 256
-# n <= 32 at this cap on n*max(n, k).  At n = 32 a worker's workspace holds
+# n <= 32 at this cap on n*max(n, k).  At n = 32 a worker's kernel buffers hold
 # per sample at most n(n-1) normals and n gammas in its rows (8 B per
 # matrix entry) and the two float n x n planes of rho^Gamma, which the
 # factor's planes and the reduced states fit into (16 B); each sub-batch
@@ -227,21 +227,22 @@ def _cells(start: int, end: int):
         b += 1
 
 
-def _record(cfg: ExperimentConfig, lo: int, hi: int, workspace: Workspace) -> dict:
-    """The record of the samples [lo, hi) of cfg's run.  The states are a
-    fresh array, freed as soon as they are recorded."""
-    return record_batch(
-        state_batch(MeasureSpec(cfg.n, cfg.k), cfg.seed, lo, hi - lo, workspace=workspace),
-        (cfg.dim_a, cfg.dim_b), workspace=workspace)
+def _record(cfg: ExperimentConfig, lo: int, hi: int) -> tuple[int, int, dict]:
+    """(lo, hi, record) of the samples [lo, hi) of cfg's run; a pool task.
+    The states are a fresh array, freed as soon as they are recorded."""
+    rhos = state_batch(MeasureSpec(cfg.n, cfg.k), cfg.seed, lo, hi - lo)
+    return lo, hi, record_batch(rhos, (cfg.dim_a, cfg.dim_b))
 
 
 def _cell_records(cfg: ExperimentConfig, start: int):
     """(lo, hi, record) for each cell of [start, cfg.samples), in order,
-    drawn in this process.  One workspace serves the whole pass, so after
-    the first cell the kernels fault in no fresh pages."""
-    workspace = Workspace()
-    for lo, hi in _cells(start, cfg.samples):
-        yield lo, hi, _record(cfg, lo, hi, workspace)
+    drawn in this thread, which gives its kernel buffers back when the pass
+    ends."""
+    try:
+        for lo, hi in _cells(start, cfg.samples):
+            yield _record(cfg, lo, hi)
+    finally:
+        release_buffers()
 
 
 def _range_stats(cfg: ExperimentConfig, state: RunState, records, checkpoint) -> None:
@@ -269,22 +270,11 @@ def _range_stats(cfg: ExperimentConfig, state: RunState, records, checkpoint) ->
         del rec, ppt  # free this record before the next is drawn
 
 
-@cache
-def _worker_workspace() -> Workspace:
-    """A pool worker's one workspace, made at its first cell and kept for
-    the worker's life."""
-    return Workspace()
-
-
-def _pool_cell(cfg: ExperimentConfig, lo: int, hi: int):
-    """(lo, hi, record) of the cell [lo, hi), as a pool task."""
-    return lo, hi, _record(cfg, lo, hi, _worker_workspace())
-
-
 def _pool_records(cfg: ExperimentConfig, start: int):
     """The records of [start, cfg.samples) in sample order, one pool task
-    per cell.  At most cfg.workers + 1 cells, the executor's own call-queue
-    depth, are submitted and not yet yielded.  A task's error, or
+    per cell; a worker keeps its kernel buffers for its life.  At most
+    cfg.workers + 1 cells, the executor's own call-queue depth, are
+    submitted and not yet yielded.  A task's error, or
     BrokenProcessPool for a worker that died, is raised here; once the
     caller stops, by an error or by closing this generator, the cells not
     yet started are cancelled and the pool shuts down.  A future is only
@@ -293,7 +283,7 @@ def _pool_records(cfg: ExperimentConfig, start: int):
     pool, window = ProcessPoolExecutor(cfg.workers), deque()
     try:
         for lo, hi in _cells(start, cfg.samples):
-            window.append(pool.submit(_pool_cell, cfg, lo, hi))
+            window.append(pool.submit(_record, cfg, lo, hi))
             if len(window) > cfg.workers:
                 yield window.popleft().result()
         while window:
@@ -470,9 +460,14 @@ def run_experiment(cfg: ExperimentConfig, state: RunState | None = None,
 
 
 def export(report: ExperimentReport, out_dir=None) -> list[Path]:
-    """Write report.json, per-axis CSVs, the joint CSV and a MANIFEST."""
+    """Write report.json, per-axis CSVs, the joint CSV and a MANIFEST, and
+    remove the files that the directory's previous MANIFEST lists and this
+    export does not write, such as the c3 CSVs of a qutrit run before a
+    qubit run in one directory.  Only plain file names in it count."""
     out = Path(out_dir if out_dir is not None else report.config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = out / "MANIFEST"
+    listed = manifest.read_text().splitlines() if manifest.is_file() else []
     written = []
 
     def _write(name, writer):
@@ -489,7 +484,9 @@ def export(report: ExperimentReport, out_dir=None) -> list[Path]:
     for p in written:
         digest = hashlib.sha256(p.read_bytes()).hexdigest()
         lines.append(f"{digest}  {p.name}")
-    manifest = out / "MANIFEST"
     manifest.write_text("\n".join(lines) + "\n")
     written.append(manifest)
+    for name in {ln.partition("  ")[2] for ln in listed} - {p.name for p in written}:
+        if Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
     return written

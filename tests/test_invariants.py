@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from itertools import permutations
 
@@ -370,10 +371,34 @@ class TestRecordBatchLayout:
                 assert np.array_equal(rec[lb], values[where]), (lb, where)
 
 
+def joined(threads, timeout=120):
+    """Start the threads and wait for each to finish within timeout s."""
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+        assert not t.is_alive()
+
+
+def in_fresh_thread(fn):
+    """fn() run in a new thread, whose kernel buffers start empty."""
+    out = []
+    joined([threading.Thread(target=lambda: out.append(fn()))])
+    return out[0]
+
+
+def sampled(measure, dims, start, count):
+    """The states of [start, start+count), their record and their lowest
+    partial-transpose eigenvalues, by this thread's kernel buffers."""
+    rhos = state_batch(measure, 9, start, count)
+    return rhos, inv.record_batch(rhos, dims), mc.min_pt_eigenvalue_batch(rhos, dims)
+
+
 class TestWorkspace:
-    """Consecutive sub-batches that share one workspace, as a worker range
-    does, get the bits of the default path, and no array a call returns
-    lives in the workspace."""
+    """Consecutive sub-batches through one thread's warm kernel buffers, as
+    a one-worker pass or a pool worker draws them, get the bits that a fresh
+    thread gets; no array a call returns lives in the buffers, and threads
+    sampling at once do not share them."""
 
     @pytest.mark.parametrize("dims,k", [((2, 2), 4), ((2, 3), 6), ((3, 3), 9), ((2, 4), 8),
                                         ((2, 3), 2), ((2, 3), 9)],
@@ -381,19 +406,17 @@ class TestWorkspace:
                                   "induced-2x3-k2", "induced-2x3-k9"])
     def test_bit_identical_to_the_default_path(self, dims, k):
         measure = MeasureSpec(dims[0] * dims[1], k)
-        ws = mc.Workspace()
         kept, start = [], 100
         for count in (8192, 848, 1):
-            rhos = state_batch(measure, 9, start, count, workspace=ws)
-            assert np.array_equal(rhos, state_batch(measure, 9, start, count))
+            rhos, rec, lowest = sampled(measure, dims, start, count)
+            fresh_rhos, want, fresh_lowest = in_fresh_thread(
+                lambda: sampled(measure, dims, start, count))
+            assert np.array_equal(rhos, fresh_rhos)
             kept.append((rhos, rhos.copy()))
-            rec = inv.record_batch(rhos, dims, workspace=ws)
-            want = inv.record_batch(rhos, dims)
             assert list(rec) == list(want)
             for lb, values in want.items():
                 assert np.array_equal(rec[lb], values), (lb, count)
-            assert np.array_equal(mc.min_pt_eigenvalue_batch(rhos, dims, workspace=ws),
-                                  mc.min_pt_eigenvalue_batch(rhos, dims))
+            assert np.array_equal(lowest, fresh_lowest)
             start += count
         # the kernel and the later sub-batches left every returned state as it was
         for rhos, copy in kept:
@@ -401,18 +424,56 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
     def test_a_warm_sub_batch_allocates_its_states_and_little_else(self, dims):
+        # the buffers are anonymous maps, which tracemalloc does not see:
+        # a view taken before the warm sub-batch shows that they stay
         measure = hilbert_schmidt(dims[0] * dims[1])
-        ws = mc.Workspace()
-        inv.record_batch(state_batch(measure, 9, 0, 8192, workspace=ws), dims, workspace=ws)
+        inv.record_batch(state_batch(measure, 9, 0, 8192), dims)
+        kept = [mc.take_buffers(slot, (1,))[0] for slot in ("rows", "planes")]
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            rhos = state_batch(measure, 9, 8192, 8192, workspace=ws)
-            inv.record_batch(rhos, dims, workspace=ws)
+            rhos = state_batch(measure, 9, 8192, 8192)
+            inv.record_batch(rhos, dims)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - before <= rhos.nbytes + 2 ** 20
+        for view, slot in zip(kept, ("rows", "planes")):
+            assert np.shares_memory(view, mc.take_buffers(slot, (1,))[0]), slot
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_threads_sampling_at_once_get_their_own_bits(self, dims):
+        # more threads than cores draw different ranges at the same time,
+        # sub-batch by sub-batch, switching often, each into its own buffers
+        measure = hilbert_schmidt(dims[0] * dims[1])
+        ranges = [(0, 3 * 8192), (10 ** 6 + 77, 3 * 8192), (5 * 8192 + 3, 3 * 8192)]
+        barrier = threading.Barrier(len(ranges))
+
+        def draw(start, count, together):
+            if together:
+                barrier.wait()
+            return [sampled(measure, dims, lo, min(8192, start + count - lo))
+                    for lo in range(start, start + count, 8192)]
+
+        alone = [in_fresh_thread(lambda: draw(*r, False)) for r in ranges]
+        together = [None] * len(ranges)
+
+        def run(i):
+            together[i] = draw(*ranges[i], True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            joined([threading.Thread(target=run, args=(i,)) for i in range(len(ranges))])
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(together, alone):
+            assert len(got) == len(want) == 3
+            for (rhos, rec, lowest), (w_rhos, w_rec, w_lowest) in zip(got, want):
+                assert np.array_equal(rhos, w_rhos)
+                assert np.array_equal(lowest, w_lowest)
+                for lb, values in w_rec.items():
+                    assert np.array_equal(rec[lb], values), lb
 
 
 def test_ppt_flags_pinned():
@@ -425,8 +486,7 @@ def test_ppt_flags_pinned():
     n = 10 ** 5
     for dims, digest in digests[STREAM_VERSION].items():
         measure = hilbert_schmidt(dims[0] * dims[1])
-        ws = mc.Workspace()
         flags = np.concatenate([
-            inv.record_batch(state_batch(measure, 2024, lo, min(8192, n - lo), workspace=ws),
-                             dims, workspace=ws)["ppt"] for lo in range(0, n, 8192)])
+            inv.record_batch(state_batch(measure, 2024, lo, min(8192, n - lo)), dims)["ppt"]
+            for lo in range(0, n, 8192)])
         assert hashlib.sha256(np.packbits(flags).tobytes()).hexdigest() == digest, dims

@@ -249,7 +249,7 @@ def with_spectrum(rng, spectrum, batch=64):
     d = len(spectrum)
     U = np.array([haar_unitary(rng, d) for _ in range(batch)])
     A = np.moveaxis((U * spectrum) @ U.conj().transpose(0, 2, 1), 0, -1)
-    diag, e2 = mc._tridiagonal(A.real.copy(), A.imag.copy(), mc.Workspace())
+    diag, e2 = mc._tridiagonal(A.real.copy(), A.imag.copy())
     return diag.copy(), e2.copy()
 
 
@@ -260,7 +260,7 @@ class TestLowestEigenvalue:
     most 5.3 for either)."""
 
     def check(self, diag, e2):
-        got = mc._lowest_eigenvalue(diag, e2, mc.Workspace())
+        got = mc._lowest_eigenvalue(diag, e2)
         want, norm = tridiagonal_oracle(diag, e2)
         assert np.all(np.abs(got - want) <= 8 * np.spacing(1.0) * norm)
         return got

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -80,7 +81,7 @@ def pool_fault_run(fault: str, out_dir: str) -> None:
     cfg = rn.ExperimentConfig(dim_a=2, workers=2, out_dir=out_dir, **FAULT_RUN)
     real = rn.state_batch
 
-    def faulty(measure, seed, start, count, **kw):
+    def faulty(measure, seed, start, count):
         if start == FAULT_AT:
             ck = rn.checkpoint_path(out_dir)
             deadline = time.monotonic() + 60
@@ -90,7 +91,7 @@ def pool_fault_run(fault: str, out_dir: str) -> None:
             if fault == "exit":
                 os._exit(3)
             raise RuntimeError("injected lane fault")
-        return real(measure, seed, start, count, **kw)
+        return real(measure, seed, start, count)
 
     monkeypatch = pytest.MonkeyPatch()
     error = None
@@ -105,6 +106,36 @@ def pool_fault_run(fault: str, out_dir: str) -> None:
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
     print(json.dumps({"error": error, "children": len(multiprocessing.active_children())}))
+
+
+# a two-worker run whose pool starts its workers by each start method
+START_RUN = dict(dim_a=2, dim_b=3, samples=30_000, seed=11, checkpoint_every=10_000)
+
+
+def start_method_run(method: str, out_dir: str) -> None:
+    """Run START_RUN on two workers that the given start method starts, and
+    export it; meant for a subprocess, whose start method is set for its
+    life."""
+    multiprocessing.set_start_method(method)
+    rn.export(rn.run_experiment(rn.ExperimentConfig(workers=2, out_dir=out_dir,
+                                                    **START_RUN)))
+
+
+def in_subprocess(call: str, timeout: float = 120) -> bytes:
+    """The stdout of test_runner.<call> run in a fresh interpreter, which
+    must exit 0 within timeout seconds; a run that hangs is killed, its
+    pool workers too."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-c", f"import test_runner; test_runner.{call}"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                          start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0, stderr.decode()
+    return stdout
 
 
 def recording_pool(on_submit):
@@ -297,7 +328,7 @@ class TestConfig:
 
     def test_matrix_size_cap(self, tmp_path):
         # n*max(n, k) bounds the state (n x n) and, through n <= 32, the
-        # workspace; k itself adds no memory
+        # kernel buffers; k itself adds no memory
         cap = rn.MAX_MATRIX_ENTRIES
         small_cfg(tmp_path, dim_b=2, k=cap // 4)
         for dims, k in (((2, 2), cap // 4 + 1), ((3, 11), 1)):
@@ -413,9 +444,9 @@ class TestRunExperiment:
         cfg = small_cfg(tmp_path, dim_b=2, samples=100_000, checkpoint_every=20_000)
         real, calls = rn.state_batch, []
 
-        def spy(measure, seed, start, count, **kw):
+        def spy(measure, seed, start, count):
             calls.append((start, count))
-            return real(measure, seed, start, count, **kw)
+            return real(measure, seed, start, count)
 
         monkeypatch.setattr(rn, "state_batch", spy)
         rn.run_experiment(cfg)
@@ -460,6 +491,33 @@ class TestRunExperiment:
         assert yielded == [0, rn.SUB_BATCH]
         assert len(submitted) == len(yielded) + cfg.workers
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the platform has no fork")
+    def test_forked_pool_after_sampling_in_this_thread(self, tmp_path, monkeypatch):
+        # this thread's kernel buffers are shared maps and warm when the pool
+        # forks: a worker that kept them would write into this process's
+        # pages and into its sibling's
+        cfgs = [small_cfg(tmp_path / str(w), samples=60_000, workers=w) for w in (1, 2)]
+        rn.export(rn.run_experiment(cfgs[0]))
+        rn.record_batch(rn.state_batch(rn.MeasureSpec(6, 6), 3, 0, rn.SUB_BATCH), (2, 3))
+        monkeypatch.setattr(rn, "ProcessPoolExecutor", functools.partial(
+            rn.ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        rn.export(rn.run_experiment(cfgs[1]))
+        assert outputs_of(cfgs[1].out_dir)[0] == outputs_of(cfgs[0].out_dir)[0]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_under_each_start_method(self, tmp_path, method):
+        # macOS starts pool workers by spawn, and Python 3.14 on Linux by
+        # forkserver: each writes the CSVs of a forked pool
+        methods = multiprocessing.get_all_start_methods()
+        if method not in methods or "fork" not in methods:
+            pytest.skip(f"the platform lacks {method} or fork")
+        csvs = {}
+        for m in ("fork", method):
+            in_subprocess(f"start_method_run({m!r}, {str(tmp_path / m)!r})")
+            csvs[m] = outputs_of(tmp_path / m)[0]
+        assert len(csvs[method]) == 6 and csvs[method] == csvs["fork"]
 
     def test_wall_time_counts_checkpoint_writes(self, tmp_path, monkeypatch):
         # three blocks whose saves take 0.2 s each: the report's time holds
@@ -532,11 +590,11 @@ class TestCheckpointResume:
 
         real, calls = rn.record_batch, []
 
-        def fail_third(*args, **kw):
+        def fail_third(*args):
             calls.append(args)
             if len(calls) == 3:
                 raise RuntimeError("injected fault")
-            return real(*args, **kw)
+            return real(*args)
 
         with monkeypatch.context() as m:
             m.setattr(rn, "record_batch", fail_third)
@@ -562,18 +620,7 @@ class TestCheckpointResume:
         # at the last edge the counted cells passed; resuming from it on one
         # or two workers writes the bytes of a straight run
         out = tmp_path / "faulty"
-        code = f"import test_runner; test_runner.pool_fault_run({fault!r}, {str(out)!r})"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, env=env,
-                              start_new_session=True) as proc:
-            try:
-                stdout, stderr = proc.communicate(timeout=120)
-            finally:
-                # a run that hangs, its pool workers too
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-        assert proc.returncode == 0, stderr.decode()
+        stdout = in_subprocess(f"pool_fault_run({fault!r}, {str(out)!r})")
         result = json.loads(stdout.splitlines()[-1])
         assert result["error"].startswith(error) and result["children"] == 0
         ck = rn.checkpoint_path(out)
@@ -890,6 +937,27 @@ class TestExport:
             assert np.array_equal(back.total, h.total) and np.array_equal(back.hits, h.hits)
             assert (back.out_total, back.out_hits) == (h.out_total, h.out_hits)
 
+    def test_reused_directory_keeps_no_stale_files(self, tmp_path, capsys):
+        # a qubit-qutrit run, then a two-qubit run, in one directory: every
+        # file that the first MANIFEST lists and the second export does not
+        # write goes, c3_B.csv among them; a file no MANIFEST lists stays,
+        # and so does a listed path outside the directory
+        out = tmp_path / "mix"
+        rn.export(rn.run_experiment(small_cfg(tmp_path, samples=2_000, out_dir=str(out))))
+        assert (out / "c3_B.csv").exists()
+        outside = tmp_path / "outside.csv"
+        outside.write_text("keep")
+        (out / "notes.txt").write_text("keep")
+        with (out / "MANIFEST").open("a") as fh:
+            fh.write(f"{'0' * 64}  ../outside.csv\n{'0' * 64}  {outside}\n")
+        written = rn.export(rn.run_experiment(
+            small_cfg(tmp_path, dim_b=2, samples=2_000, out_dir=str(out))))
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*(p.name for p in written), "checkpoint.json", "notes.txt"])
+        assert not (out / "c3_B.csv").exists() and outside.read_text() == "keep"
+        assert cli.main(["analyze", "--in", str(out), "--flatness-min-total", "1"]) == 0
+        assert "c3_B" not in capsys.readouterr().out
+
     def test_creates_missing_out_dir(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=1_000,
                         out_dir=str(tmp_path / "deep" / "nested"))
@@ -979,6 +1047,27 @@ class TestCli:
         for name in names:
             assert (tmp_path / "re" / name).read_bytes() == \
                 (tmp_path / "cli_run" / name).read_bytes(), name
+
+    def test_report_without_out_writes_beside_the_checkpoint(self, tmp_path, monkeypatch):
+        # a run moved after it was written and re-emitted from another
+        # directory, by its directory and by its checkpoint file: the files
+        # go back beside the checkpoint, not to the out_dir it was run with
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["sample", "--shape", "2x2", "--samples", "2000", "--seed", "3",
+                         "--out", "run1"]) == 0
+        moved = tmp_path / "moved"
+        (tmp_path / "run1").rename(moved)
+        ran = {p.name: p.read_bytes() for p in moved.iterdir()}
+        (tmp_path / "other").mkdir()
+        monkeypatch.chdir(tmp_path / "other")
+        for source in ("../moved", "../moved/checkpoint.json"):
+            for name in ran:
+                if name != "checkpoint.json":
+                    (moved / name).unlink()
+            assert cli.main(["report", "--in", source]) == 0
+            assert list((tmp_path / "other").iterdir()) == []
+            assert {p.name: p.read_bytes() for p in moved.iterdir()} == ran
+        assert not (tmp_path / "run1").exists()
 
     def test_sample_resume_cli(self, tmp_path, capsys, monkeypatch):
         out = str(tmp_path / "resume_run")
