@@ -4,7 +4,15 @@ invariants and the two-qubit correlation invariant.
 Every invariant a run records is a closed form in the power traces tr rho^2,
 tr rho_A^2, tr rho_B^2 and, on a qutrit side, tr rho^3; the generator basis,
 coherence vectors and d-tensor define those invariants and check them, and
-the sampling path never builds them.
+the sampling path never builds them.  The power traces read each entry of
+a Hermitian state once, summing over distinct index sets of its diagonal
+and lower triangle:
+
+    tr rho^2 = sum_i rho_ii^2 + 2 sum_{i>j} |rho_ij|^2,
+    tr rho^3 = sum_i rho_ii^3 + 3 sum_{q>p} (rho_pp + rho_qq) |rho_qp|^2
+               + 6 sum_{r>q>p} Re(conj(rho_qp) conj(rho_rq) rho_rp),
+
+which is 7 terms of tr rho^3 on a qutrit instead of 27 products.
 
 Basis order is frozen: symmetric off-diagonal generators in lexicographic
 (j,k) order (j<k), then the antisymmetric ones in the same order, then the
@@ -98,27 +106,41 @@ def d_tensor(d: int) -> DTensor:
 
 
 def cubic_casimir_batch(rhos: np.ndarray, c2: np.ndarray) -> np.ndarray:
-    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c of states (..., d, d) with quadratic
-    Casimir c2: with rho = I/d + n.l/2, |n|^2 = c2 radius_scale(d)^2 and
-    tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc d_abc n_a n_b n_c."""
+    """c3 = sum_abc d_abc nhat_a nhat_b nhat_c of Hermitian states (..., d, d)
+    with quadratic Casimir c2: with rho = I/d + n.l/2, |n|^2 = c2
+    radius_scale(d)^2 and tr rho^3 = 1/d^2 + 3|n|^2/(2d) + (1/4) sum_abc
+    d_abc n_a n_b n_c.  0 for d = 1, where su(1) has no generators.
+
+    tr rho^3 is summed over distinct index sets of the diagonal and lower
+    triangle, sum_i rho_ii^3 + 3 sum_{q>p} (rho_pp + rho_qq) |rho_qp|^2
+    + 6 sum_{r>q>p} Re(conj(rho_qp) conj(rho_rq) rho_rp), each sum in index
+    order with one real multiply or add per operation, so a sample's result
+    has the same bits in any batch."""
     d = rhos.shape[-1]
-    # tr rho^3 = sum_ij (rho^2)_ij rho_ji in index order, one real multiply
-    # or add per operation, so a sample's result has the same bits in any
-    # batch
+    if d == 1:
+        return np.zeros(rhos.shape[:-2])[()]
     re, im = mc.entry_planes(rhos)
-    tr3 = np.zeros(rhos.shape[:-2])
-    sq_re, sq_im = np.empty(rhos.shape[:-2]), np.empty(rhos.shape[:-2])  # (rho^2)_ij
-    for j in range(d):
-        for i in range(d):
-            sq_re.fill(0.0)
-            sq_im.fill(0.0)
-            for k in range(d):
-                sq_re += re[i, k] * re[k, j]
-                sq_re -= im[i, k] * im[k, j]
-                sq_im += re[i, k] * im[k, j]
-                sq_im += im[i, k] * re[k, j]
-            tr3 += sq_re * re[j, i]
-            tr3 -= sq_im * im[j, i]
+    tr3, pairs, triples, t, u = (np.zeros(rhos.shape[:-2]) for _ in range(5))
+    for r in range(d):
+        np.multiply(re[r, r], re[r, r], out=t)
+        tr3 += np.multiply(t, re[r, r], out=t)
+        for q in range(r):
+            np.multiply(re[r, q], re[r, q], out=t)
+            t += np.multiply(im[r, q], im[r, q], out=u)
+            t *= np.add(re[q, q], re[r, r], out=u)
+            pairs += t
+            for p in range(q):
+                # Re(x y) z_re + Im(x y) z_im for x = rho_qp, y = rho_rq, z = rho_rp
+                np.multiply(re[q, p], re[r, q], out=t)
+                t -= np.multiply(im[q, p], im[r, q], out=u)
+                triples += np.multiply(t, re[r, p], out=t)
+                np.multiply(re[q, p], im[r, q], out=t)
+                t += np.multiply(im[q, p], re[r, q], out=u)
+                triples += np.multiply(t, im[r, p], out=t)
+    pairs *= 3.0
+    tr3 += pairs
+    triples *= 6.0
+    tr3 += triples
     n2 = c2 * radius_scale(d) ** 2
     return 4.0 * (tr3 - 1.0 / d ** 2 - 1.5 * n2 / d) / radius_scale(d) ** 3
 

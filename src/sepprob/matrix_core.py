@@ -6,9 +6,11 @@ matrix is a batch with no leading axes.
 
 partial_trace_batch and purity_batch sum in a fixed index order with one
 IEEE operation per step, like the PPT kernel below, so a sample's result
-has the same bits whatever batch or memory layout it comes in.  On the
-batch-last states of random_states.state_batch every entry they read is a
-contiguous row over the batch.
+has the same bits whatever batch or memory layout it comes in.  purity_batch
+reads each Hermitian entry once, tr rho^2 = sum_i rho_ii^2 +
+2 sum_{i>j} |rho_ij|^2.  On the batch-last states of
+random_states.state_batch every entry they read is a contiguous row over
+the batch.
 
 Index convention: the row/column index of the composite space is
 ``i_A * dim_b + i_B`` (subsystem A is the slow index).  All bipartite
@@ -23,7 +25,8 @@ axis of every array:
 1. Householder reduction of rho^Gamma to a real symmetric tridiagonal
    matrix (Golub & Van Loan, Matrix Computations, 8.3): a Hermitian matrix
    has the spectrum of the real tridiagonal matrix whose off-diagonal is
-   the modulus of its Householder off-diagonal.
+   the modulus of its Householder off-diagonal.  It reads the diagonal
+   and lower triangle only, and only those are copied out of rho.
 2. Ten halvings of the Gershgorin bracket, testing each midpoint by the
    signs of the LDL^T pivots (Sturm count; Barth, Martin & Wilkinson,
    Numer. Math. 9, 386 (1967)), then Newton's method on the
@@ -130,15 +133,19 @@ def entry_planes(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def purity_batch(rhos: np.ndarray) -> np.ndarray:
-    """tr(rho^2) of matrices of shape (..., d, d): the sum over i, j in order
-    of Re(rho_ij rho_ji), one real multiply or add per operation, so a
+    """tr(rho^2) of Hermitian matrices of shape (..., d, d) from the diagonal
+    and the lower triangle: sum_i rho_ii^2 + 2 sum_{i>j} |rho_ij|^2, each
+    sum in index order with one real multiply or add per operation, so a
     sample's result has the same bits in any batch."""
     re, im = entry_planes(rhos)
-    acc = np.zeros(rhos.shape[:-2])
+    acc, off, t = (np.zeros(rhos.shape[:-2]) for _ in range(3))
     for i in range(rhos.shape[-1]):
-        for j in range(rhos.shape[-1]):
-            acc += re[i, j] * re[j, i]
-            acc -= im[i, j] * im[j, i]
+        acc += np.multiply(re[i, i], re[i, i], out=t)
+        for j in range(i):
+            off += np.multiply(re[i, j], re[i, j], out=t)
+            off += np.multiply(im[i, j], im[i, j], out=t)
+    off *= 2.0
+    acc += off
     return acc[()]
 
 
@@ -161,7 +168,9 @@ def take_buffers(slot: str, *shapes: tuple[int, ...], dtype=float) -> list[np.nd
       accumulators; min_pt_eigenvalue_batch's tridiagonal matrices and
       Householder row blocks;
     - "planes": state_batch's factor planes; record_batch's reduced states;
-      the planes of rho^Gamma, then the eigenvalue stage's buffers.
+      the planes of rho^Gamma, then the eigenvalue stage's buffers.  Only
+      the diagonal and lower triangle of rho^Gamma are copied there and
+      read; its upper triangle keeps what the phase before left.
     """
     per = np.dtype(dtype).itemsize // 8
     sizes = [math.prod(shape) * per for shape in shapes]
@@ -368,12 +377,18 @@ def min_pt_eigenvalue_batch(rhos: np.ndarray, dims: tuple[int, int]) -> np.ndarr
     1e150 in modulus, whose squares overflow.
     """
     d, batch = rhos.shape[-1], math.prod(rhos.shape[:-2])
-    # the real and imaginary planes of rho^Gamma, the flattened batch last;
-    # on batch-last input the copy reads contiguous rows
+    # the diagonal and lower triangle of rho^Gamma's real and imaginary
+    # planes, the flattened batch last, which is all _tridiagonal reads: row
+    # (a, b) of the (m, n, m, n, B) view below the diagonal is its blocks
+    # before a and its block a up to b.  On batch-last input the copy reads
+    # contiguous rows
     pt = np.moveaxis(_pt_view(rhos.reshape((batch, d, d)), dims), 0, -1)
     re, im = take_buffers("planes", pt.shape, pt.shape)
-    np.copyto(re, pt.real)
-    np.copyto(im, pt.imag)
+    for plane, part in ((re, pt.real), (im, pt.imag)):
+        for a in range(1, pt.shape[0]):
+            np.copyto(plane[a, :, :a], part[a, :, :a])
+        for a, b in np.ndindex(pt.shape[:2]):
+            np.copyto(plane[a, b, a, :b + 1], part[a, b, a, :b + 1])
     with np.errstate(invalid="ignore", over="ignore"):  # such input is refused below
         diag, e2 = _tridiagonal(re.reshape(d, d, batch), im.reshape(d, d, batch))
     if not (np.isfinite(diag).all() and np.isfinite(e2).all()):

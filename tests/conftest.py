@@ -1,4 +1,5 @@
 import base64
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ def haar_unitary(rng, d: int) -> np.ndarray:
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def joined(threads, timeout=120):
+    """Start the threads and wait for each to finish within timeout s."""
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout)
+        assert not t.is_alive()
+
+
+def in_fresh_thread(fn):
+    """fn() run in a new thread, whose kernel buffers start empty."""
+    out = []
+    joined([threading.Thread(target=lambda: out.append(fn()))])
+    return out[0]
 
 
 def packed(values, width: int = 8) -> str:

@@ -13,8 +13,8 @@ from sepprob import invariants as inv
 from sepprob import matrix_core as mc
 from sepprob.random_states import STREAM_VERSION, MeasureSpec, hilbert_schmidt, state_batch
 from sepprob.runner import ExperimentConfig, RunState
-from conftest import (bell_psi_minus, haar_unitary, loop_partial_transpose,
-                      random_density)
+from conftest import (bell_psi_minus, haar_unitary, in_fresh_thread, joined,
+                      loop_partial_transpose, random_density)
 
 # position of standard Gell-Mann lambda_i in the module's frozen basis order
 GM = {1: 0, 2: 3, 3: 6, 4: 1, 5: 4, 6: 2, 7: 5, 8: 7}
@@ -194,6 +194,12 @@ class TestCubicCasimir:
         want = np.array([cubic_casimir_oracle(rho) for rho in rhos])
         assert np.abs(got - want).max() < 1e-12
 
+    def test_closed_form_matches_d_tensor_oracle_at_d4(self):
+        # four index triples r > q > p, where a qutrit has one
+        rhos = state_batch(hilbert_schmidt(4), 9, 0, 2_000)
+        want = np.array([cubic_casimir_oracle(rho) for rho in rhos])
+        assert np.abs(c3(rhos) - want).max() < 1e-12
+
     def test_batch_matches_scalar(self):
         # one state is a batch with no leading axes
         rhos = state_batch(hilbert_schmidt(3), 9, 0, 200)
@@ -202,6 +208,26 @@ class TestCubicCasimir:
         assert np.array_equal(grid.ravel(), got)
         for i in range(200):
             assert abs(c3(rhos[i]) - got[i]) < 1e-15
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_einsum_trace(self, d):
+        # tr rho^3 from all d^3 products, through the closed form of the docstring
+        rhos = state_batch(hilbert_schmidt(d), 3, 0, 500)
+        c2 = inv.quadratic_casimir_batch(rhos)
+        got = inv.cubic_casimir_batch(rhos, c2)
+        if d == 1:
+            assert np.array_equal(got, np.zeros(500))
+            return
+        tr3 = np.einsum("bij,bjk,bki->b", rhos, rhos, rhos).real
+        scale = inv.radius_scale(d)
+        want = 4.0 * (tr3 - 1.0 / d ** 2 - 1.5 * c2 * scale ** 2 / d) / scale ** 3
+        assert np.abs(got - want).max() < 1e-12
+
+    def test_random_pure_qutrits(self, rng):
+        psi = rng.standard_normal((1000, 3)) + 1j * rng.standard_normal((1000, 3))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        rhos = np.einsum("bi,bj->bij", psi, psi.conj())
+        assert np.abs(c3(rhos) - 1 / np.sqrt(3)).max() < 1e-12
 
     def test_bound_on_random_qutrits(self):
         rhos = state_batch(hilbert_schmidt(3), 33, 0, 100_000)
@@ -369,22 +395,6 @@ class TestRecordBatchLayout:
             assert list(rec) == list(whole)
             for lb, values in whole.items():
                 assert np.array_equal(rec[lb], values[where]), (lb, where)
-
-
-def joined(threads, timeout=120):
-    """Start the threads and wait for each to finish within timeout s."""
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout)
-        assert not t.is_alive()
-
-
-def in_fresh_thread(fn):
-    """fn() run in a new thread, whose kernel buffers start empty."""
-    out = []
-    joined([threading.Thread(target=lambda: out.append(fn()))])
-    return out[0]
 
 
 def sampled(measure, dims, start, count):

@@ -3,7 +3,8 @@ import pytest
 
 from sepprob import matrix_core as mc
 from sepprob.random_states import MeasureSpec, hilbert_schmidt, state_batch
-from conftest import bell_psi_minus, haar_unitary, loop_partial_transpose, random_density
+from conftest import (bell_psi_minus, haar_unitary, in_fresh_thread, loop_partial_transpose,
+                      random_density)
 
 
 def werner(p: float) -> np.ndarray:
@@ -328,6 +329,21 @@ class TestMinEigenvalueBatchLayout:
         alone = [mc.min_pt_eigenvalue_batch(rhos[i], dims) for i in range(3, 8192, 409)]
         assert np.array_equal(alone, whole[3::409])
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4)])
+    def test_stale_buffers_do_not_reach_the_result(self, dims):
+        # only the lower triangle of rho^Gamma is copied into the planes:
+        # what an earlier phase left in the buffers, here NaN, is never read
+        d = dims[0] * dims[1]
+        rhos = state_batch(hilbert_schmidt(d), 5, 0, 1000)
+
+        def after_nan():
+            for slot in ("rows", "planes"):
+                mc.take_buffers(slot, (16 * d * d * len(rhos),))[0].fill(np.nan)
+            return mc.min_pt_eigenvalue_batch(rhos, dims)
+
+        want = in_fresh_thread(lambda: mc.min_pt_eigenvalue_batch(rhos, dims))
+        assert np.array_equal(in_fresh_thread(after_nan), want)
+
 
 class TestPartialTranspose:
     def test_diagonal_unchanged(self, rng):
@@ -427,6 +443,12 @@ class TestPurity:
 
     def test_diag(self):
         assert abs(mc.purity_batch(np.diag([0.75, 0.25])) - 5 / 8) < 1e-14
+
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_matches_einsum_trace(self, d):
+        rhos = state_batch(hilbert_schmidt(d), 3, 0, 500)
+        want = np.einsum("bij,bji->b", rhos, rhos).real
+        assert np.abs(mc.purity_batch(rhos) - want).max() < 1e-14
 
 
 def is_ppt(rho, dims):

@@ -559,6 +559,35 @@ class TestRunExperiment:
         assert abs(p - 8 / 33) < 0.015
 
 
+def test_outputs_pinned(tmp_path):
+    # the sha256 of every axis and joint CSV of fixed-seed 10^5-sample HS runs
+    # under each stream version: a change to a trace or PPT kernel that moves
+    # any bin count fails here
+    digests = {4: {
+        (2, 3): {
+            "r_A.csv": "e6669655b8fd5b2a0d47fe2dd49045088556c5b39fed1660ee35f3ce1bd2ca6d",
+            "R_B.csv": "bf6233a54fa6d614acbfa5d9ade8816c43a894a8f44a2a686270c20e1bd5b162",
+            "c2_A.csv": "884dc811390b213d32043f62b53aa2bee8f3e07f527b21ec8d7144beeaf22509",
+            "c2_B.csv": "5f0465bb8fbeb1ad1a3a12e08b62f5a9956e0f4220b4c28a9b9252988945c2e4",
+            "c3_B.csv": "8fed268930a9c5a57d95a49fe787310ecf3623d412ee23fc68544b2358160528",
+            "joint_r_R.csv": "6d9d4cda4226fe1d3999113b54b4b4588952b98542db38ea6b959daa2fcf38bc"},
+        (3, 3): {
+            "r_A.csv": "1484babdac616de9452fd31dcda17bc1231cec104f82a58441aebbe09ac6514c",
+            "R_B.csv": "b51044b7e3d5dbaa0cc00d91afd1f3cb70f6f96cabc0b52c4966cd5653aec781",
+            "c2_A.csv": "80558a412bc1f29505f6508aeff26ce0b05f4a82fed7d4d6e60110b645e03723",
+            "c2_B.csv": "ffce3b8a6cb9b87b5af39f6e6530518ef793e52ab200ec125c0ffc8477a9f0cd",
+            "c3_A.csv": "3b7f0baeff5608729cbc782f670389c14271a0934e49ebaf341225e368663d7a",
+            "c3_B.csv": "e7f9f1611ff2ea6924e1e657e05ef32b8c76bbe05506918287791adfc4256f14",
+            "joint_r_R.csv": "a33500234cbd4a805d375c3453b69aaca5fb7e8cdffb434542e7ec768c6972f2"}}}
+    for (m, n), want in digests[rn.STREAM_VERSION].items():
+        cfg = rn.ExperimentConfig(dim_a=m, dim_b=n, samples=10 ** 5, seed=2024,
+                                  checkpoint_every=10 ** 7, out_dir=str(tmp_path / f"{m}x{n}"))
+        rn.export(rn.run_experiment(cfg))
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in Path(cfg.out_dir).glob("*.csv")}
+        assert got == want, (m, n)
+
+
 class TestCheckpointResume:
     def test_interrupted_equals_uninterrupted(self, tmp_path, monkeypatch):
         cfg = small_cfg(tmp_path, samples=30_000, checkpoint_every=10_000)
