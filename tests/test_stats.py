@@ -111,6 +111,56 @@ def edge_counts(rng, n: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     return total.astype(np.int64), hits.astype(np.int64)
 
 
+def cells_joint(shape: tuple[int, int], flat, total, hits) -> st.JointHistogram:
+    """A joint on unit axes of the given shape whose cells at the flat
+    indices hold these counts and whose other cells are empty."""
+    counts = np.zeros((2, *shape), dtype=np.int64)
+    counts[0].reshape(-1)[flat] = total
+    counts[1].reshape(-1)[flat] = hits
+    return st.JointHistogram(unit_axis("r_A", shape[0]), unit_axis("R_B", shape[1]), *counts)
+
+
+def random_cells_joint(rng, shape: tuple[int, int], n: int) -> st.JointHistogram:
+    """n random cells of the shape occupied, with edge_counts totals."""
+    total, hits = edge_counts(rng, n, 10 ** 6)
+    total[total == 0] = 1
+    return cells_joint(shape, rng.choice(shape[0] * shape[1], n, replace=False),
+                       total, np.minimum(hits, total))
+
+
+# bin labels around each change of digit count, up to MAX_BINS - 1
+LABELS = [0, 9, 10, 99, 100, 999, 1000, MAX_BINS - 1]
+# (total, hits) pairs with counts of 0, 9, 10 and the int64 maximum
+COUNTS = [(9, 0), (9, 9), (10, 0), (10, 9), (10, 10), (2 ** 63 - 1, 0),
+          (2 ** 63 - 1, 10), (2 ** 63 - 1, 2 ** 63 - 1)]
+
+
+def edge_counts_joint(rng) -> st.JointHistogram:
+    """A 200 x 200 joint holding edge_counts with totals up to 10**12, more
+    occupied cells than three row slices."""
+    total, hits = edge_counts(rng, 200 * 200, 10 ** 12)
+    j = cells_joint((200, 200), np.arange(200 * 200), total, hits)
+    assert (j.total > 0).sum() > 3 * st.CSV_SLICE_ROWS
+    return j
+
+
+# joints for the CSV oracle, keyed by test id: none and one occupied cell,
+# k slices of rows and one row either side, every label and count width,
+# and edge counts over several slices
+CSV_CASES = {
+    "empty": lambda rng: cells_joint((3, 4), [], [], []),
+    "one-cell": lambda rng: cells_joint((3, 4), [6], [7], [3]),
+    **{f"{k}-slices{d:+d}": (lambda rng, n=k * st.CSV_SLICE_ROWS + d:
+                             random_cells_joint(rng, (MAX_BINS, 16), n))
+       for k in (1, 2) for d in (-1, 0, 1)},
+    "xbin-labels": lambda rng: cells_joint(
+        (MAX_BINS, 2), [2 * x + y for x in LABELS for y in (0, 1)], *zip(*COUNTS * 2)),
+    "ybin-labels": lambda rng: cells_joint(
+        (2, MAX_BINS), [MAX_BINS * x + y for x in (0, 1) for y in LABELS], *zip(*COUNTS * 2)),
+    "edge-counts": edge_counts_joint,
+}
+
+
 class TestAxis:
     def test_defaults(self):
         # the axes a run bins over at the default bin count
@@ -449,13 +499,9 @@ class TestJointHistogram:
         joint_csv_oracle(j, tmp_path / "oracle.csv")
         assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
-    def test_csv_across_row_slices(self, rng, tmp_path):
-        # more occupied cells than one formatting slice, and counts up to 10**12
-        total, hits = edge_counts(rng, 200 * 200, 10 ** 12)
-        j = st.JointHistogram(axis_x=unit_axis("r_A", 200),
-                              axis_y=unit_axis("R_B", 200),
-                              total=total.reshape(200, 200), hits=hits.reshape(200, 200))
-        assert (j.total > 0).sum() > 3 * st.CSV_SLICE_ROWS
+    @pytest.mark.parametrize("case", CSV_CASES)
+    def test_csv_across_row_slices(self, rng, tmp_path, case):
+        j = CSV_CASES[case](rng)
         j.to_csv(tmp_path / "joint.csv")
         joint_csv_oracle(j, tmp_path / "oracle.csv")
         assert (tmp_path / "joint.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
@@ -561,6 +607,24 @@ class TestCountingRule:
             tracemalloc.stop()
         assert peak - before < 2 ** 20
         assert (int(j.total.sum()), int(j.hits.sum())) == (8192, int(ppt.sum()))
+
+    def test_joint_export_at_the_cap_finds_cells_without_a_layer_copy(self, rng, tmp_path):
+        # to_csv and encode_histogram find the occupied cells from the totals
+        # alone; `total | hits` was a 32 MiB temporary at MAX_BINS, and
+        # the peaks were 45.6 and 38.8 MiB with it, 7.4 and 21.8 without
+        j = st.JointHistogram(axis_x=unit_axis("r_A", MAX_BINS),
+                              axis_y=unit_axis("R_B", MAX_BINS))
+        n = 10 ** 6
+        j.accumulate_many(rng.random(n), rng.random(n), rng.random(n) < 0.25)
+        for export in (lambda: j.to_csv(tmp_path / "joint.csv"),
+                       lambda: st.encode_histogram(j)):
+            tracemalloc.start()
+            try:
+                export()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 24 * 2 ** 20
 
 
 class TestCountCodec:
