@@ -12,10 +12,12 @@ computed in, so no result depends on worker count, block edges or
 scheduling order.
 
 A checkpoint is a line with the sha256 hex digest of the bytes after it,
-then one JSON object: the config and its hash, the sample and PPT counts
-and all histogram counts, each count array packed as little-endian binary
-in base64 (stats.encode_histogram).  The axes of the histograms are not
-stored: the config defines them.
+then a header line of JSON: the config and its hash, the sample and PPT
+counts, the elapsed time and, per histogram, the number of occupied cells,
+the widths of its count blocks and its overflow tallies.  The count blocks
+follow as raw little-endian unsigned integers, three per histogram in the
+header's order (stats.encode_histogram).  The axes of the histograms are
+not stored: the config defines them.
 """
 
 from __future__ import annotations
@@ -173,17 +175,24 @@ class RunState:
                    hists={lb: HistogramPair(axis=ax) for lb, ax in axes.items()},
                    joint=JointHistogram(axis_x=axes["r_A"], axis_y=axes["R_B"]))
 
-    def to_dict(self) -> dict:
-        return {"n_total": self.n_total, "n_ppt": self.n_ppt, "elapsed": self.elapsed,
-                "histograms": {lb: encode_histogram(h) for lb, h in self.hists.items()},
-                "joint": encode_histogram(self.joint)}
+    def to_dict(self) -> tuple[dict, list[np.ndarray]]:
+        """The state's header fields and its count blocks: three for each
+        histogram, in config order, then three for the joint."""
+        hists, blocks = {}, []
+        for lb, h in self.hists.items():
+            hists[lb], hist_blocks = encode_histogram(h)
+            blocks += hist_blocks
+        joint, joint_blocks = encode_histogram(self.joint)
+        return ({"n_total": self.n_total, "n_ppt": self.n_ppt, "elapsed": self.elapsed,
+                 "histograms": hists, "joint": joint}, blocks + joint_blocks)
 
     @classmethod
-    def from_dict(cls, d: dict, cfg: ExperimentConfig) -> "RunState":
-        """The state to_dict wrote, on the histogram axes cfg defines;
-        ValueError unless its histogram labels are cfg's, in order, and the
-        totals and hits of every histogram sum to n_total and n_ppt.  Keys
-        that to_dict does not write are ignored."""
+    def from_dict(cls, d: dict, blocks, cfg: ExperimentConfig) -> "RunState":
+        """The state to_dict wrote as header fields d and the bytes of its
+        count blocks, on the histogram axes cfg defines; ValueError unless
+        its histogram labels are cfg's, in order, the blocks hold exactly
+        the cells d lists, and the totals and hits of every histogram sum to
+        n_total and n_ppt.  Keys that to_dict does not write are ignored."""
         state = cls.fresh(cfg)
         bodies = d["histograms"]
         if list(bodies) != list(state.hists):
@@ -197,9 +206,12 @@ class RunState:
         if type(elapsed) not in (int, float) or not (isfinite(elapsed) and elapsed >= 0):
             raise ValueError(f"elapsed must be a finite number >= 0, got {elapsed!r}")
         state.n_total, state.n_ppt, state.elapsed = n_total, n_ppt, elapsed
+        at = 0
         for lb, h in state.hists.items():
-            decode_histogram(h, bodies[lb])
-        decode_histogram(state.joint, d["joint"])
+            at = decode_histogram(h, bodies[lb], blocks, at)
+        at = decode_histogram(state.joint, d["joint"], blocks, at)
+        if at != len(blocks):
+            raise ValueError(f"{len(blocks) - at} bytes follow the last count block")
         # each histogram counts every sample once, in a cell or its overflow
         for lb, h in [*state.hists.items(), ("joint", state.joint)]:
             sums = (_count_sum(h.total) + h.out_total, _count_sum(h.hits) + h.out_hits)
@@ -213,7 +225,7 @@ def _count_sum(counts: np.ndarray) -> int:
     """Exact sum of non-negative int64 counts: a uint64 sum where the
     maximum shows that it cannot wrap, Python ints where it could."""
     if counts.size and int(counts.max()) * counts.size >= 2 ** 64:
-        return sum(counts.tolist())
+        return sum(counts.reshape(-1).tolist())
     return int(counts.sum(dtype=np.uint64))
 
 
@@ -385,11 +397,17 @@ def checkpoint_path(out_dir) -> Path:
 def save_checkpoint(cfg: ExperimentConfig, state: RunState) -> Path:
     path = checkpoint_path(cfg.out_dir)
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps({"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
-                       **state.to_dict()}).encode()
+    fields, blocks = state.to_dict()
+    header = json.dumps({"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
+                         **fields}).encode() + b"\n"
+    digest = hashlib.sha256(header)
+    for block in blocks:
+        digest.update(block)
     tmp = path.with_suffix(".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+        fh.write(digest.hexdigest().encode() + b"\n" + header)
+        for block in blocks:
+            fh.write(block)
         fh.flush()
         os.fsync(fh.fileno())
     tmp.replace(path)
@@ -400,16 +418,22 @@ def load_checkpoint(path, cfg: ExperimentConfig | None = None
                     ) -> tuple[ExperimentConfig, RunState]:
     """Load a checkpoint; verify its digest and, if cfg is given, its hash."""
     try:
-        digest, _, body = Path(path).read_bytes().partition(b"\n")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CorruptCheckpoint(f"cannot read checkpoint {path}: {exc}") from exc
-    if digest != hashlib.sha256(body).hexdigest().encode():
+    # the digest and the count blocks are read through views of data, not
+    # through copies of its parts
+    view = memoryview(data)
+    start = data.find(b"\n") + 1
+    if not start or data[:start - 1] != hashlib.sha256(view[start:]).hexdigest().encode():
         raise CorruptCheckpoint(f"checksum mismatch in {path}")
+    end = data.find(b"\n", start)
+    end = len(data) if end < 0 else end
     try:
-        payload = json.loads(body)
+        payload = json.loads(data[start:end])
         ck_cfg = ExperimentConfig.from_dict(payload["config"])
         ck_hash = payload["config_hash"]
-        state = RunState.from_dict(payload, ck_cfg)
+        state = RunState.from_dict(payload, view[end + 1:], ck_cfg)
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
             RecursionError) as exc:
         raise CorruptCheckpoint(f"unreadable checkpoint body in {path}: "

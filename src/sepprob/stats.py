@@ -9,7 +9,6 @@ never silently dropped.
 
 from __future__ import annotations
 
-import base64
 import csv
 from dataclasses import dataclass, replace
 from math import erfc, exp, isfinite, lgamma, log, sqrt
@@ -71,39 +70,39 @@ class Axis:
         return idx, ok
 
 
-# little-endian unsigned widths a count array is stored at, narrowest first
+# little-endian unsigned widths a count block is stored at, narrowest first
 COUNT_WIDTHS = {tag: np.dtype(f"<{tag}") for tag in ("u1", "u2", "u4", "u8")}
 
+# cells occupied_cells compares at a time: its boolean temporary takes at most
+# 128 KiB and each array of flat indices it yields at most 1 MiB, 64 rows of
+# a joint at MAX_BINS
+OCCUPIED_BLOCK_CELLS = 2 ** 17
 
-def pack_counts(values: np.ndarray) -> str:
-    """"<width>:<base64>" of non-negative integers: their little-endian bytes
-    at the narrowest width in COUNT_WIDTHS that holds their maximum."""
+
+def pack_counts(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as little-endian unsigned integers at the
+    narrowest width in COUNT_WIDTHS that holds their maximum."""
     top = int(values.max()) if values.size else 0
-    tag, dtype = next((tag, dtype) for tag, dtype in COUNT_WIDTHS.items()
-                      if top <= np.iinfo(dtype).max)
-    return f"{tag}:{base64.b64encode(values.astype(dtype).tobytes()).decode('ascii')}"
+    return values.astype(next(dtype for dtype in COUNT_WIDTHS.values()
+                              if top <= np.iinfo(dtype).max))
 
 
-def unpack_counts(text, name: str) -> np.ndarray:
-    """The int64 array pack_counts wrote; ValueError unless text is such a
-    string whose values fit in an int64."""
-    if type(text) is not str:
-        raise ValueError(f"counts {name!r} must be a '<width>:<base64>' string")
-    tag, _, data = text.partition(":")
-    dtype = COUNT_WIDTHS.get(tag)
+def unpack_counts(data, at: int, tag, count: int, name: str) -> tuple[np.ndarray, int]:
+    """(values, end): a read-only view of the count values of the block
+    pack_counts wrote at byte `at` of data at width tag, and the byte after
+    the block.  ValueError unless tag is a width in COUNT_WIDTHS, data holds
+    the block and its values fit in an int64."""
+    dtype = COUNT_WIDTHS.get(tag) if type(tag) is str else None
     if dtype is None:
         raise ValueError(f"counts {name!r} have unknown width {tag!r}")
-    try:
-        raw = base64.b64decode(data, validate=True)
-    except ValueError as exc:   # binascii.Error, or a non-ASCII character
-        raise ValueError(f"counts {name!r} are not base64: {exc}") from exc
-    if len(raw) % dtype.itemsize:
-        raise ValueError(f"counts {name!r} hold {len(raw)} bytes, "
-                         f"not a multiple of {dtype.itemsize}")
-    values = np.frombuffer(raw, dtype=dtype)
-    if values.size and values.max() > np.iinfo(np.int64).max:
+    end = at + count * dtype.itemsize
+    if end > len(data):
+        raise ValueError(f"counts {name!r} need {end - at} bytes, "
+                         f"only {len(data) - at} remain")
+    values = np.frombuffer(data, dtype, count, at)
+    if dtype.itemsize == 8 and count and values.max() > np.iinfo(np.int64).max:
         raise ValueError(f"counts {name!r} exceed the int64 range")
-    return values.astype(np.int64)
+    return values, end
 
 
 def read_count(d: dict, name: str) -> int:
@@ -242,19 +241,31 @@ class JointHistogram:
 
     def to_csv(self, path) -> None:
         """One row per occupied cell, x-major, rendered by _csv_rows."""
-        # hits <= total in every cell, so a cell is occupied where its total is
-        # non-zero; flatnonzero reads the counts without a bins**2 temporary
-        cells = np.flatnonzero(self.total)
         total, hits, ybins = self.total.reshape(-1), self.hits.reshape(-1), self.axis_y.bins
         with open(path, "wb") as fh:
             fh.write(f"# axis_x={self.axis_x.label} axis_y={self.axis_y.label}"
                      f" bins={self.axis_x.bins}x{self.axis_y.bins}\n"
                      f"# out_total={self.out_total} out_hits={self.out_hits}\n"
                      "xbin,ybin,total,hits\r\n".encode())
-            for start in range(0, len(cells), CSV_SLICE_ROWS):
-                flat = cells[start:start + CSV_SLICE_ROWS]
-                x = flat // ybins
-                fh.write(_csv_rows([x, flat - x * ybins, total[flat], hits[flat]]))
+            for cells in occupied_cells(self.total):
+                for start in range(0, len(cells), CSV_SLICE_ROWS):
+                    flat = cells[start:start + CSV_SLICE_ROWS]
+                    x = flat // ybins
+                    fh.write(_csv_rows([x, flat - x * ybins, total[flat], hits[flat]]))
+
+
+def occupied_cells(total: np.ndarray):
+    """The flat indices of the cells where total > 0, in increasing order,
+    as one array per block of whole rows of at most OCCUPIED_BLOCK_CELLS
+    cells.  hits <= total in every cell, so these are the occupied cells;
+    a boolean comparison finds them several times faster than a scan of
+    the int64 counts, and per block it needs no bins**2 temporary."""
+    rows = total.reshape(len(total), -1)
+    step = max(1, OCCUPIED_BLOCK_CELLS // rows.shape[1])
+    for start in range(0, len(rows), step):
+        cells = np.flatnonzero(rows[start:start + step] > 0)
+        cells += start * rows.shape[1]
+        yield cells
 
 
 def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
@@ -286,39 +297,77 @@ def _csv_rows(columns: list[np.ndarray]) -> np.ndarray:
     return rows[keep]
 
 
-def encode_histogram(h: HistogramPair | JointHistogram) -> dict:
-    """The counts of a histogram, without its axes: the flat index of every
-    cell where total is non-zero (hits <= total in every cell), in increasing
-    order, with its counts, each array packed by pack_counts, and the
-    overflow tallies."""
-    total, hits = h.total.ravel(), h.hits.ravel()
-    index = np.flatnonzero(total)
-    return {"index": pack_counts(index), "total": pack_counts(total[index]),
-            "hits": pack_counts(hits[index]),
-            "out_total": h.out_total, "out_hits": h.out_hits}
+# the count blocks of a histogram, in the order they are stored
+COUNT_BLOCKS = ("gaps", "total", "hits")
 
 
-def decode_histogram(h: HistogramPair | JointHistogram, d: dict) -> None:
-    """Fill the empty histogram h with the counts encode_histogram wrote to d.
+def encode_histogram(h: HistogramPair | JointHistogram) -> tuple[dict, list[np.ndarray]]:
+    """The counts of a histogram, without its axes, as a checkpoint header
+    entry and the three count blocks it describes.
 
-    Raises ValueError unless each of the three count arrays unpacks, they
-    have equal length, the indices increase strictly within the cells of
-    h's axes and 0 <= hits <= total holds in every cell and in the
-    overflow tallies.
+    The blocks list the occupied cells (total > 0; hits <= total in every
+    cell) in increasing flat index: their index gaps (the first index + 1,
+    then the differences, all >= 1), their totals and their hits, each
+    packed by pack_counts.  The entry holds the number of occupied cells
+    as "cells", each block's width under the block's name and the overflow
+    tallies.  Each block of rows is packed as it is found, so no int64
+    array of all the occupied cells is made.
     """
-    index, cell_total, cell_hits = (unpack_counts(d.get(k), k)
-                                    for k in ("index", "total", "hits"))
-    if not len(index) == len(cell_total) == len(cell_hits):
-        raise ValueError("counts 'index', 'total' and 'hits' differ in length")
-    if len(index) and (index[-1] >= h.total.size or np.any(index[1:] <= index[:-1])):
-        raise ValueError(f"count indices must increase strictly within [0, {h.total.size})")
-    if np.any(cell_hits > cell_total):
+    total, hits = h.total.reshape(-1), h.hits.reshape(-1)
+    pieces = {name: [] for name in COUNT_BLOCKS}
+    prev, cells = -1, 0
+    for index in occupied_cells(h.total):
+        if index.size:
+            for name, values in zip(COUNT_BLOCKS, (np.diff(index, prepend=prev),
+                                                   total[index], hits[index])):
+                pieces[name].append(pack_counts(values))
+            prev, cells = int(index[-1]), cells + index.size
+    entry, blocks = {"cells": cells}, []
+    for name, parts in pieces.items():
+        # each part is at its own narrowest width: the widest holds them all
+        dtype = max((p.dtype for p in parts), key=lambda d: d.itemsize,
+                    default=COUNT_WIDTHS["u1"])
+        entry[name] = f"u{dtype.itemsize}"
+        blocks.append(np.concatenate(parts, dtype=dtype) if parts else np.empty(0, dtype))
+    entry.update(out_total=h.out_total, out_hits=h.out_hits)
+    return entry, blocks
+
+
+def decode_histogram(h: HistogramPair | JointHistogram, d: dict, data, at: int) -> int:
+    """Fill the empty histogram h with the counts encode_histogram described
+    by the header entry d and wrote as blocks at byte `at` of data; return
+    the byte after its blocks.
+
+    Raises ValueError unless d is such an entry, each of the three blocks
+    unpacks, the index gaps put the cells in strictly increasing order
+    within the cells of h's axes and 0 <= hits <= total holds in every cell
+    and in the overflow tallies.
+    """
+    if type(d.get("index")) is str:
+        raise ValueError("counts stored as base64 strings in the JSON body, the "
+                         "layout before count blocks, are not read; rerun the run")
+    if "cells" not in d:
+        raise ValueError("histogram entry has no 'cells'")
+    cells, size = read_count(d, "cells"), h.total.size
+    blocks = {}
+    for name in COUNT_BLOCKS:
+        blocks[name], at = unpack_counts(data, at, d.get(name), cells, name)
+    gaps, total, hits = blocks.values()
+    if cells and (gaps.min() < 1 or gaps.max() > size):
+        raise ValueError(f"count index gaps must lie in [1, {size}]")
+    # at most cells * size, far inside the int64 range
+    index = np.cumsum(gaps, dtype=np.int64)
+    index -= 1
+    if cells and index[-1] >= size:
+        raise ValueError(f"count indices run past the last cell, {size - 1}")
+    if np.any(hits > total):
         raise ValueError("counts must satisfy 0 <= hits <= total in every cell")
-    h.total.reshape(-1)[index] = cell_total
-    h.hits.reshape(-1)[index] = cell_hits
+    h.total.reshape(-1)[index] = total
+    h.hits.reshape(-1)[index] = hits
     h.out_total, h.out_hits = read_count(d, "out_total"), read_count(d, "out_hits")
     if h.out_hits > h.out_total:
         raise ValueError(f"out_hits {h.out_hits} exceeds out_total {h.out_total}")
+    return at
 
 
 @dataclass(frozen=True)

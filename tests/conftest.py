@@ -1,4 +1,3 @@
-import base64
 import threading
 
 import numpy as np
@@ -52,10 +51,9 @@ def in_fresh_thread(fn):
     return out[0]
 
 
-def packed(values, width: int = 8) -> str:
-    """values as the checkpoint count codec stores them, at the given byte width."""
-    raw = np.asarray(values, dtype=f"<u{width}").tobytes()
-    return f"u{width}:" + base64.b64encode(raw).decode()
+def packed(values, width: int = 8) -> bytes:
+    """values as a checkpoint count block stores them, at the given byte width."""
+    return np.asarray(values, dtype=f"<u{width}").tobytes()
 
 
 @pytest.fixture

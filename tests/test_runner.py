@@ -44,8 +44,15 @@ def counted(cfg, lo: int, hi: int, state=None):
     return state
 
 
+def joined(encoding) -> tuple[dict, bytes]:
+    """The header part and the joined count blocks of a histogram's
+    encode_histogram or a state's to_dict, which compare by ==."""
+    header, blocks = encoding
+    return header, b"".join(blocks)
+
+
 def hist_state_dict(report):
-    return {lb: encode_histogram(h) for lb, h in report.hists.items()}
+    return {lb: joined(encode_histogram(h)) for lb, h in report.hists.items()}
 
 
 def run_interrupted(monkeypatch, cfg, blocks: int) -> None:
@@ -154,9 +161,11 @@ def without_elapsed(body: bytes) -> bytes:
     return re.sub(rb'"elapsed": [^,]*, ', b"", body)
 
 
-def read_payload(ck) -> dict:
-    """The JSON body of a checkpoint file, after its digest line."""
-    return json.loads(ck.read_bytes().partition(b"\n")[2])
+def read_payload(ck) -> tuple[dict, bytes]:
+    """The JSON header of a checkpoint file, after its digest line, and the
+    count blocks after the header."""
+    header, _, blocks = ck.read_bytes().partition(b"\n")[2].partition(b"\n")
+    return json.loads(header), blocks
 
 
 def with_parent_axes(payload: dict, cfg) -> dict:
@@ -176,14 +185,37 @@ def with_next_index(payload: dict) -> dict:
     return {**head, "next_index": payload["n_total"], **payload}
 
 
+def base64_payload(cfg, state) -> dict:
+    """A checkpoint body in the layout before count blocks: one JSON object
+    whose histograms hold the flat index, total and hits of each occupied
+    cell as "u4:<base64>" strings."""
+    def counts(h):
+        total, hits = h.total.ravel(), h.hits.ravel()
+        index = np.flatnonzero(total)
+        return {**{k: "u4:" + base64.b64encode(v.astype("<u4").tobytes()).decode()
+                   for k, v in (("index", index), ("total", total[index]),
+                                ("hits", hits[index]))},
+                "out_total": h.out_total, "out_hits": h.out_hits}
+    return {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
+            "n_total": state.n_total, "n_ppt": state.n_ppt, "elapsed": state.elapsed,
+            "histograms": {lb: counts(h) for lb, h in state.hists.items()},
+            "joint": counts(state.joint)}
+
+
 def write_parent_format(path, cfg, state):
     """A checkpoint as the earlier format wrote it: one JSON object whose
     "checksum" key is the sha256 of the sorted-key dump of the rest."""
-    payload = {"config": cfg.to_dict(), "config_hash": cfg.config_hash(),
-               **state.to_dict()}
+    payload = base64_payload(cfg, state)
     payload["checksum"] = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode()).hexdigest()
     path.write_text(json.dumps(payload))
+
+
+def write_base64_format(path, cfg, state):
+    """A checkpoint as the layout before count blocks wrote it: the digest
+    line, then base64_payload as one line of JSON."""
+    body = json.dumps(base64_payload(cfg, state)).encode()
+    path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
 def with_parent_config(payload: dict) -> dict:
@@ -194,15 +226,28 @@ def with_parent_config(payload: dict) -> dict:
     return {**payload, "config": {**cfg, "measure": measure, "symmetrize": False}}
 
 
-def write_with_digest(path, body: bytes):
-    """A checkpoint whose digest line matches the given body."""
+def write_with_digest(path, header, blocks: bytes = b""):
+    """A checkpoint of the given header, a dict or the bytes of its line,
+    and count blocks, whose digest line matches them."""
+    if isinstance(header, dict):
+        header = json.dumps(header).encode()
+    body = header + b"\n" + blocks
     path.write_bytes(hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
 
 
-def unpacked(text: str) -> list[int]:
-    """The integers of one count-codec string."""
-    width, _, data = text.partition(":")
-    return np.frombuffer(base64.b64decode(data), dtype=f"<{width}").tolist()
+def unpacked(header: dict, blocks: bytes) -> dict[str, dict[str, list[int]]]:
+    """The count blocks of a checkpoint as integer lists, by histogram label
+    (the joint last, as "joint") and block name."""
+    out, at = {}, 0
+    for lb, entry in [*header["histograms"].items(), ("joint", header["joint"])]:
+        out[lb] = {}
+        for name in ("gaps", "total", "hits"):
+            dtype = np.dtype("<" + entry[name])
+            end = at + entry["cells"] * dtype.itemsize
+            out[lb][name] = np.frombuffer(blocks[at:end], dtype).tolist()
+            at = end
+    assert at == len(blocks)
+    return out
 
 
 @st.composite
@@ -376,7 +421,8 @@ class TestRunExperiment:
             for rep in reps[1:]:
                 assert rep.n_ppt == reps[0].n_ppt
                 assert hist_state_dict(rep) == hist_state_dict(reps[0])
-                assert encode_histogram(rep.joint) == encode_histogram(reps[0].joint)
+                assert (joined(encode_histogram(rep.joint))
+                        == joined(encode_histogram(reps[0].joint)))
 
     @settings(derandomize=True, deadline=None, max_examples=10)
     @given(cuts=st.lists(st.integers(5_001, 5_000 + 3 * rn.SUB_BATCH + 122),
@@ -389,7 +435,7 @@ class TestRunExperiment:
         state = rn.RunState.fresh(cfg)
         for lo, hi in zip(bounds, bounds[1:]):
             counted(cfg, lo, hi, state)
-        assert state.to_dict() == whole.to_dict()
+        assert joined(state.to_dict()) == joined(whole.to_dict())
         for h in state.hists.values():
             assert int(h.total.sum()) + h.out_total == count
 
@@ -412,7 +458,8 @@ class TestRunExperiment:
         for rep in reps[1:]:
             assert rep.n_ppt == reps[0].n_ppt
             assert hist_state_dict(rep) == hist_state_dict(reps[0])
-            assert encode_histogram(rep.joint) == encode_histogram(reps[0].joint)
+            assert (joined(encode_histogram(rep.joint))
+                    == joined(encode_histogram(reps[0].joint)))
 
     @pytest.mark.parametrize("every, workers", [
         pytest.param(every, workers, id=f"{every}" + (f"-w{workers}" if workers > 1 else ""))
@@ -427,17 +474,17 @@ class TestRunExperiment:
         real, saved = rn.save_checkpoint, []
 
         def keep(c, state):
-            saved.append(state.to_dict())
+            saved.append(joined(state.to_dict()))
             return real(c, state)
 
         monkeypatch.setattr(rn, "save_checkpoint", keep)
         rn.run_experiment(cfg)
         edges = [*range(every, cfg.samples, every), cfg.samples]
-        assert [d["n_total"] for d in saved] == edges
+        assert [d["n_total"] for d, _ in saved] == edges
         no_edges = replace(cfg, checkpoint_every=10 ** 7)
-        for d, edge in zip(saved, edges):
-            want = counted(no_edges, 0, edge).to_dict()
-            assert {**d, "elapsed": 0.0} == want
+        for (d, blocks), edge in zip(saved, edges):
+            want = joined(counted(no_edges, 0, edge).to_dict())
+            assert ({**d, "elapsed": 0.0}, blocks) == want
 
     def test_one_worker_sub_batches_on_the_grid(self, tmp_path, monkeypatch):
         # blocks of 20000 once cut 17 sub-batches, 9 of them short
@@ -602,7 +649,8 @@ class TestCheckpointResume:
         straight = rn.run_experiment(cfg2)
         assert resumed.n_ppt == straight.n_ppt
         assert hist_state_dict(resumed) == hist_state_dict(straight)
-        assert encode_histogram(resumed.joint) == encode_histogram(straight.joint)
+        assert (joined(encode_histogram(resumed.joint))
+                == joined(encode_histogram(straight.joint)))
 
     def test_fault_in_straddling_sub_batch_resumes_identically(self, tmp_path,
                                                                monkeypatch):
@@ -655,8 +703,9 @@ class TestCheckpointResume:
         ck = rn.checkpoint_path(out)
         cfg, state = rn.load_checkpoint(ck)
         assert state.n_total == FAULT_EDGE
-        want = counted(cfg, 0, FAULT_EDGE).to_dict()
-        assert {**state.to_dict(), "elapsed": 0.0} == want
+        want = joined(counted(cfg, 0, FAULT_EDGE).to_dict())
+        fields, blocks = joined(state.to_dict())
+        assert ({**fields, "elapsed": 0.0}, blocks) == want
         saved = ck.read_bytes()
         for workers in (1, 2):
             ck.write_bytes(saved)
@@ -686,6 +735,12 @@ class TestCheckpointResume:
         assert cli.main(["sample", "--shape", "2x3", "--samples", "4000", "--seed", "7",
                          "--out", cfg.out_dir, "--resume"]) == 1
         assert "another sampling stream" in capsys.readouterr().err
+
+    def test_exact_count_sum_of_a_joint(self):
+        # counts whose uint64 sum could wrap are summed as Python ints, in
+        # a joint's two dimensions too
+        assert rn._count_sum(np.full((2, 2), 2 ** 62, dtype=np.int64)) == 2 ** 64
+        assert rn._count_sum(np.array([[1, 2], [3, 0]], dtype=np.int64)) == 6
 
     def test_corrupt_checkpoint(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
@@ -731,12 +786,12 @@ class TestCheckpointResume:
         cfg = small_cfg(tmp_path, dim_b=2, samples=100_000, bins=8)
         rn.run_experiment(cfg)
         ck = rn.checkpoint_path(cfg.out_dir)
-        payload = read_payload(ck)
+        payload, _ = read_payload(ck)
         state = rn.load_checkpoint(ck, cfg)[1]
         assert (state.joint.total > 0).mean() >= 0.9
 
         def dense(d, h):
-            sparse = ("index", "total", "hits")
+            sparse = ("cells", "gaps", "total", "hits")
             return {**{k: v for k, v in d.items() if k not in sparse},
                     "total": h.total.ravel().tolist(), "hits": h.hits.ravel().tolist()}
 
@@ -752,7 +807,7 @@ class TestCheckpointResume:
         cfg = small_cfg(tmp_path, dim_b=2, samples=4_000, checkpoint_every=2_000)
         run_interrupted(monkeypatch, cfg, blocks=1)
         ck = rn.checkpoint_path(cfg.out_dir)
-        payload = read_payload(ck)
+        payload, blocks = read_payload(ck)
         hists = payload["histograms"]
         if damage == "extra_axis":
             hists["extra"] = hists["r_A"]
@@ -760,7 +815,7 @@ class TestCheckpointResume:
             del hists["C002"]
         else:
             payload["histograms"] = {"R_B": hists.pop("R_B"), **hists}
-        write_with_digest(ck, json.dumps(payload).encode())
+        write_with_digest(ck, payload, blocks)
         with pytest.raises(rn.CorruptCheckpoint, match="histogram axes"):
             rn.load_checkpoint(ck, cfg)
         assert cli.main(["sample", "--shape", "2x2", "--samples", "4000", "--seed", "7",
@@ -771,8 +826,8 @@ class TestCheckpointResume:
     def test_body_holds_counts_not_axes(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
-        payload = read_payload(rn.checkpoint_path(cfg.out_dir))
-        keys = ["index", "total", "hits", "out_total", "out_hits"]
+        payload, _ = read_payload(rn.checkpoint_path(cfg.out_dir))
+        keys = ["cells", "gaps", "total", "hits", "out_total", "out_hits"]
         assert list(payload["histograms"]) == list(cfg.axes())
         for body in [*payload["histograms"].values(), payload["joint"]]:
             assert list(body) == keys
@@ -789,7 +844,8 @@ class TestCheckpointResume:
 
         run_interrupted(monkeypatch, cfg, blocks=1)
         ck = rn.checkpoint_path(cfg.out_dir)
-        write_with_digest(ck, json.dumps(with_parent_axes(read_payload(ck), cfg)).encode())
+        payload, blocks = read_payload(ck)
+        write_with_digest(ck, with_parent_axes(payload, cfg), blocks)
         assert cli.main([*args, "--resume"]) == 0
         assert "resuming from sample index 2000" in capsys.readouterr().out
         resumed = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -803,7 +859,8 @@ class TestCheckpointResume:
         assert reports[0] == reports[1]
 
         # re-exporting a finished run from the earlier layout changes no byte
-        write_with_digest(ck, json.dumps(with_parent_axes(read_payload(ck), cfg)).encode())
+        payload, blocks = read_payload(ck)
+        write_with_digest(ck, with_parent_axes(payload, cfg), blocks)
         assert cli.main(["report", "--in", cfg.out_dir, "--out", str(tmp_path / "re")]) == 0
         for name, data in resumed.items():
             if name != "checkpoint.json":
@@ -820,10 +877,11 @@ class TestCheckpointResume:
         assert cli.main(args) == 0
         straight = {p.name: p.read_bytes() for p in out.iterdir()}
         ck = rn.checkpoint_path(cfg.out_dir)
-        assert "next_index" not in read_payload(ck)
+        assert "next_index" not in read_payload(ck)[0]
 
         run_interrupted(monkeypatch, cfg, blocks=1)
-        write_with_digest(ck, json.dumps(with_next_index(read_payload(ck))).encode())
+        payload, blocks = read_payload(ck)
+        write_with_digest(ck, with_next_index(payload), blocks)
         assert cli.main([*args, "--resume"]) == 0
         assert "resuming from sample index 2000" in capsys.readouterr().out
         resumed = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -836,7 +894,8 @@ class TestCheckpointResume:
             del report["wall_time"], report["samples_per_sec"]
         assert reports[0] == reports[1]
 
-        write_with_digest(ck, json.dumps(with_next_index(read_payload(ck))).encode())
+        payload, blocks = read_payload(ck)
+        write_with_digest(ck, with_next_index(payload), blocks)
         assert cli.main(["report", "--in", cfg.out_dir, "--out", str(tmp_path / "re")]) == 0
         for name, data in resumed.items():
             if name != "checkpoint.json":
@@ -848,7 +907,7 @@ class TestCheckpointResume:
         cfg, state = data.draw(run_states(ck_dir))
         back_cfg, back = rn.load_checkpoint(rn.save_checkpoint(cfg, state), cfg)
         assert back_cfg == cfg
-        assert back.to_dict() == state.to_dict()
+        assert joined(back.to_dict()) == joined(state.to_dict())
 
     @settings(derandomize=True, deadline=None)
     @given(data=st.data())
@@ -877,7 +936,8 @@ class TestCheckpointResume:
                                                checkpoint_every=10_000))
         assert resumed.n_ppt == straight.n_ppt
         assert hist_state_dict(resumed) == hist_state_dict(straight)
-        assert encode_histogram(resumed.joint) == encode_histogram(straight.joint)
+        assert (joined(encode_histogram(resumed.joint))
+                == joined(encode_histogram(straight.joint)))
 
     def test_resume_of_completed_run(self, tmp_path):
         cfg = small_cfg(tmp_path, samples=5_000)
@@ -1186,56 +1246,87 @@ class TestCli:
                                         "hits_above_total", "out_hits_above_total",
                                         "list_joint", "counts_not_n_total",
                                         "hits_not_n_ppt", "counts_wrap",
-                                        "deep_nesting"])
+                                        "deep_nesting", "one_cell_more",
+                                        "one_cell_fewer", "bytes_after_blocks",
+                                        "unknown_width", "u8_count_at_2_63"])
     def test_damaged_checkpoint_exit_code(self, tmp_path, capsys, damage):
         cfg = small_cfg(tmp_path, samples=2_000)
         rn.run_experiment(cfg)
         ck = rn.checkpoint_path(cfg.out_dir)
         data = ck.read_bytes()
-        body = data.partition(b"\n")[2]
+        header_line, _, blocks = data.partition(b"\n")[2].partition(b"\n")
         state = rn.load_checkpoint(ck)[1]
-        payload = json.loads(body)
+        payload = json.loads(header_line)
         joint = payload["joint"]
-        index, total, hits = (unpacked(joint[k]) for k in ("index", "total", "hits"))
+        counts = unpacked(payload, blocks)["joint"]
+        gaps, total, hits = (counts[k] for k in ("gaps", "total", "hits"))
+        index = (np.cumsum(gaps) - 1).tolist()
+        # the joint's blocks come last
+        joint_at = len(blocks) - joint["cells"] * sum(
+            int(joint[k][1:]) for k in ("gaps", "total", "hits"))
 
-        def with_joint(**changes):
-            changed = {k: v for k, v in {**joint, **changes}.items() if v is not None}
-            return json.dumps({**payload, "joint": changed}).encode()
+        def with_joint(entry=(), **lists):
+            """The header and blocks with the joint's entry updated by entry
+            (a None value drops its key) and each block named in lists
+            holding that list's values as u8."""
+            changed = {**joint, **{k: "u8" for k in lists}, **dict(entry)}
+            tail = b"".join(packed(lists[k]) if k in lists else
+                            packed(counts[k], int(joint[k][1:]))
+                            for k in ("gaps", "total", "hits"))
+            return (json.dumps({**payload, "joint": {k: v for k, v in changed.items()
+                                                     if v is not None}}).encode(),
+                    blocks[:joint_at] + tail)
 
         def with_top(**changes):
-            return json.dumps({**payload, **changes}).encode()
+            return json.dumps({**payload, **changes}).encode(), blocks
 
-        bodies = {"empty_object": b"{}", "non_object": b"[1, 2]",
-                  "not_json": body[:-1],
-                  "no_joint": body.replace(b'"joint"', b'"jointX"'),
+        bodies = {"empty_object": (b"{}", b""), "non_object": (b"[1, 2]", b""),
+                  "not_json": (header_line[:-1], blocks),
+                  "no_joint": (header_line.replace(b'"joint"', b'"jointX"'), blocks),
                   # the joint as the earlier dense format wrote it
-                  "dense_joint": with_joint(index=None,
-                                            total=state.joint.total.ravel().tolist(),
-                                            hits=state.joint.hits.ravel().tolist()),
+                  "dense_joint": (json.dumps({**payload, "joint": {
+                      "total": state.joint.total.ravel().tolist(),
+                      "hits": state.joint.hits.ravel().tolist(),
+                      "out_total": joint["out_total"],
+                      "out_hits": joint["out_hits"]}}).encode(), blocks[:joint_at]),
                   # the joint as the earlier sparse format wrote it: plain lists
-                  "list_joint": with_joint(index=index, total=total, hits=hits),
-                  "unequal_lengths": with_joint(hits=packed(hits[:-1])),
-                  "index_past_cells": with_joint(index=packed(index[:-1] + [cfg.bins ** 2])),
-                  "repeated_index": with_joint(index=packed([index[0], *index[:-1]])),
+                  "list_joint": (json.dumps({**payload, "joint": {
+                      "index": index, "total": total, "hits": hits,
+                      "out_total": joint["out_total"],
+                      "out_hits": joint["out_hits"]}}).encode(), blocks[:joint_at]),
+                  # the hits block one cell short of the header's count
+                  "unequal_lengths": with_joint(hits=hits[:-1]),
+                  # a last gap that moves the last cell to bins**2
+                  "index_past_cells": with_joint(
+                      gaps=[*gaps[:-1], cfg.bins ** 2 - index[-2]]),
+                  # a repeated index is a gap of 0
+                  "repeated_index": with_joint(gaps=[gaps[0], 0, *gaps[1:-1]]),
+                  # the step from the second cell back to the first, as u8
                   "decreasing_index": with_joint(
-                      index=packed([index[1], index[0], *index[2:]])),
+                      gaps=[index[1] + 1, 2 ** 64 - gaps[1], *gaps[2:]]),
                   "string_n_ppt": with_top(n_ppt=str(payload["n_ppt"])),
                   "bool_n_total": with_top(n_total=True, n_ppt=0),
                   "n_ppt_above_total": with_top(n_ppt=payload["n_total"] + 1),
                   "negative_elapsed": with_top(elapsed=-1.0),
                   # a u8 value past the int64 range, -1 if read as signed
-                  "negative_total": with_joint(total=packed([2 ** 64 - 1, *total[1:]])),
-                  "hits_above_total": with_joint(hits=packed([total[0] + 1, *hits[1:]])),
-                  "out_hits_above_total": with_joint(out_hits=joint["out_total"] + 1),
+                  "negative_total": with_joint(total=[2 ** 64 - 1, *total[1:]]),
+                  "hits_above_total": with_joint(hits=[total[0] + 1, *hits[1:]]),
+                  "out_hits_above_total": with_joint({"out_hits": joint["out_total"] + 1}),
                   # the histograms still count every sample of the run
                   "counts_not_n_total": with_top(n_total=payload["n_total"] - 1),
                   "hits_not_n_ppt": with_top(n_ppt=payload["n_ppt"] - 1),
                   # cells summing to 2**64 more than n_total, which an int64
                   # or a uint64 sum would wrap back to n_total
-                  "counts_wrap": with_joint(total=packed(
-                      [2 ** 63 - 1, 2 ** 63 - 1, sum(total[:3]) + 2, *total[3:]])),
+                  "counts_wrap": with_joint(total=[2 ** 63 - 1, 2 ** 63 - 1,
+                                                   sum(total[:3]) + 2, *total[3:]]),
                   # past the JSON parser's recursion limit
-                  "deep_nesting": b"[" * 200_000 + b"]" * 200_000}
+                  "deep_nesting": (b"[" * 200_000 + b"]" * 200_000, b""),
+                  # the header and the blocks disagree on the joint's cells
+                  "one_cell_more": with_joint({"cells": joint["cells"] + 1}),
+                  "one_cell_fewer": with_joint({"cells": joint["cells"] - 1}),
+                  "bytes_after_blocks": (header_line, blocks + b"\0"),
+                  "unknown_width": with_joint({"total": "u3"}),
+                  "u8_count_at_2_63": with_joint(total=[2 ** 63, *total[1:]])}
         if damage == "truncated":
             ck.write_bytes(data[:-1])
         elif damage == "flipped":
@@ -1243,11 +1334,49 @@ class TestCli:
         elif damage == "parent_format":
             write_parent_format(ck, cfg, state)
         else:
-            write_with_digest(ck, bodies[damage])
+            write_with_digest(ck, *bodies[damage])
         assert cli.main(["report", "--in", cfg.out_dir]) == 2
         err = capsys.readouterr().err
         assert ("unreadable checkpoint body" if damage in bodies
                 else "checksum mismatch") in err
+
+    def test_base64_layout_refused(self, tmp_path, monkeypatch, capsys):
+        # a checkpoint as the layout before count blocks wrote it, its
+        # digest valid: refused by name, never converted
+        cfg = small_cfg(tmp_path, samples=4_000, checkpoint_every=2_000)
+        run_interrupted(monkeypatch, cfg, blocks=1)
+        ck = rn.checkpoint_path(cfg.out_dir)
+        write_base64_format(ck, cfg, rn.load_checkpoint(ck, cfg)[1])
+        before = sorted(p.name for p in Path(cfg.out_dir).iterdir())
+        message = "the layout before count blocks"
+        with pytest.raises(rn.CorruptCheckpoint, match=message):
+            rn.load_checkpoint(ck)
+        for args in (["report", "--in", cfg.out_dir],
+                     ["sample", "--shape", "2x3", "--samples", "4000", "--seed", "7",
+                      "--checkpoint-every", "2000", "--out", cfg.out_dir, "--resume"]):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("i/o error: ") and message in err
+            assert "Traceback" not in err
+        assert sorted(p.name for p in Path(cfg.out_dir).iterdir()) == before
+
+    def test_file_is_digest_header_and_blocks(self, tmp_path):
+        cfg = small_cfg(tmp_path, samples=3_000, bins=50)
+        rn.run_experiment(cfg)
+        data = rn.checkpoint_path(cfg.out_dir).read_bytes()
+        digest, _, body = data.partition(b"\n")
+        assert digest == hashlib.sha256(body).hexdigest().encode()
+        header, blocks = read_payload(rn.checkpoint_path(cfg.out_dir))
+        assert list(header) == ["config", "config_hash", "n_total", "n_ppt", "elapsed",
+                                "histograms", "joint"]
+        # every block is as long as its cells at its width, and nothing follows
+        counts = unpacked(header, blocks)
+        state = rn.load_checkpoint(rn.checkpoint_path(cfg.out_dir))[1]
+        for lb, h in [*state.hists.items(), ("joint", state.joint)]:
+            cells = np.flatnonzero(h.total)
+            assert counts[lb]["gaps"] == np.diff(cells, prepend=-1).tolist()
+            assert counts[lb]["total"] == h.total.ravel()[cells].tolist()
+            assert counts[lb]["hits"] == h.hits.ravel()[cells].tolist()
 
     def test_truncated_config_exit_code(self, tmp_path, capsys):
         # malformed JSON in a config is a validation error, not an I/O one
@@ -1367,7 +1496,8 @@ class TestCli:
         cfg = small_cfg(tmp_path, samples=4_000, checkpoint_every=2_000)
         run_interrupted(monkeypatch, cfg, blocks=1)
         ck = rn.checkpoint_path(cfg.out_dir)
-        write_with_digest(ck, json.dumps(with_parent_config(read_payload(ck))).encode())
+        payload, blocks = read_payload(ck)
+        write_with_digest(ck, with_parent_config(payload), blocks)
         message = "unknown config keys: ['measure', 'symmetrize']"
         assert cli.main(["report", "--in", cfg.out_dir]) == 2
         assert message in capsys.readouterr().err

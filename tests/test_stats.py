@@ -86,16 +86,19 @@ def counts_histogram(shape: tuple[int, ...], total=None, hits=None):
     return st.JointHistogram(*axes, total, hits)
 
 
-def encoded(total: np.ndarray, hits: np.ndarray) -> dict:
-    """encode_histogram of a histogram holding these counts and no overflow."""
-    return st.encode_histogram(counts_histogram(total.shape, total, hits))
+def encoded(total: np.ndarray, hits: np.ndarray) -> tuple[dict, bytes]:
+    """The header entry and the joined count blocks encode_histogram writes
+    for a histogram holding these counts and no overflow."""
+    entry, blocks = st.encode_histogram(counts_histogram(total.shape, total, hits))
+    return entry, b"".join(blocks)
 
 
-def decoded(d: dict, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def decoded(d: dict, blocks: bytes, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(total, hits) of the given shape holding the counts decode_histogram
-    reads from d, with no overflow where d names none."""
+    reads from the entry d and the count blocks, with no overflow where d
+    names none; every byte of the blocks is read."""
     h = counts_histogram(shape)
-    st.decode_histogram(h, {"out_total": 0, "out_hits": 0, **d})
+    assert st.decode_histogram(h, {"out_total": 0, "out_hits": 0, **d}, blocks, 0) == len(blocks)
     return h.total, h.hits
 
 
@@ -611,7 +614,8 @@ class TestCountingRule:
     def test_joint_export_at_the_cap_finds_cells_without_a_layer_copy(self, rng, tmp_path):
         # to_csv and encode_histogram find the occupied cells from the totals
         # alone; `total | hits` was a 32 MiB temporary at MAX_BINS, and
-        # the peaks were 45.6 and 38.8 MiB with it, 7.4 and 21.8 without
+        # the peaks were 45.6 and 38.8 MiB with it, 7.4 and 21.8 with one
+        # int64 index of all the occupied cells, 0.8 and 5.5 by row blocks
         j = st.JointHistogram(axis_x=unit_axis("r_A", MAX_BINS),
                               axis_y=unit_axis("R_B", MAX_BINS))
         n = 10 ** 6
@@ -624,75 +628,116 @@ class TestCountingRule:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 24 * 2 ** 20
+            assert peak < 8 * 2 ** 20
 
 
 class TestCountCodec:
     def test_roundtrip_keeps_only_occupied_cells(self):
         total = np.array([[0, 3, 2], [0, 0, 0], [1, 0, 5]], dtype=np.int64)
         hits = np.array([[0, 1, 2], [0, 0, 0], [0, 0, 5]], dtype=np.int64)
-        enc = encoded(total, hits)
-        assert enc == {"index": packed([1, 2, 6, 8], 1), "total": packed([3, 2, 1, 5], 1),
-                       "hits": packed([1, 2, 0, 5], 1), "out_total": 0, "out_hits": 0}
-        back_total, back_hits = decoded(enc, (3, 3))
+        entry, blocks = encoded(total, hits)
+        # the flat indices 1, 2, 6, 8 as gaps: the first index + 1, then the steps
+        assert entry == {"cells": 4, "gaps": "u1", "total": "u1", "hits": "u1",
+                         "out_total": 0, "out_hits": 0}
+        assert blocks == packed([2, 1, 4, 2], 1) + packed([3, 2, 1, 5], 1) + \
+            packed([1, 2, 0, 5], 1)
+        back_total, back_hits = decoded(entry, blocks, (3, 3))
         assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
         empty = encoded(np.zeros(4, np.int64), np.zeros(4, np.int64))
-        assert empty == {"index": "u1:", "total": "u1:", "hits": "u1:",
-                         "out_total": 0, "out_hits": 0}
-        assert not decoded(empty, (4,))[0].any()
+        assert empty == ({"cells": 0, "gaps": "u1", "total": "u1", "hits": "u1",
+                          "out_total": 0, "out_hits": 0}, b"")
+        assert not decoded(*empty, (4,))[0].any()
+
+    def test_golden_two_cell_layout(self):
+        # one occupied cell of two, index 1: gap 2, a total past u1, hits 7
+        h = st.HistogramPair(unit_axis("r_A", 2), np.array([0, 300]), np.array([0, 7]),
+                             out_total=5, out_hits=1)
+        entry, blocks = st.encode_histogram(h)
+        assert entry == {"cells": 1, "gaps": "u1", "total": "u2", "hits": "u1",
+                         "out_total": 5, "out_hits": 1}
+        assert b"".join(blocks) == bytes.fromhex("02" "2c01" "07")
+        back = st.HistogramPair(unit_axis("r_A", 2))
+        assert st.decode_histogram(back, entry, bytes.fromhex("02" "2c01" "07"), 0) == 4
+        assert (back.total.tolist(), back.hits.tolist()) == ([0, 300], [0, 7])
+        assert (back.out_total, back.out_hits) == (5, 1)
 
     @pytest.mark.parametrize("top, width", [
         (0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4), (2 ** 32 - 1, 4),
         (2 ** 32, 8), (2 ** 63 - 1, 8)])
     def test_narrowest_width_roundtrip(self, top, width):
         values = np.array([0, top // 3, top, 1], dtype=np.int64)
-        text = st.pack_counts(values)
-        assert text == packed(values, width)
-        back = st.unpack_counts(text, "total")
-        assert back.dtype == np.int64 and np.array_equal(back, values)
-        assert st.pack_counts(values[:0]) == "u1:"
-        assert st.unpack_counts(f"u{width}:", "total").size == 0
+        block = st.pack_counts(values)
+        assert block.dtype == np.dtype(f"<u{width}")
+        assert block.tobytes() == packed(values, width)
+        back, end = st.unpack_counts(block.tobytes(), 0, f"u{width}", len(values), "total")
+        assert back.dtype == np.dtype(f"<u{width}") and np.array_equal(back, values)
+        assert end == 4 * width
+        assert st.pack_counts(values[:0]).dtype == np.dtype("u1")
+        assert st.unpack_counts(b"", 0, f"u{width}", 0, "total")[0].size == 0
 
     def test_roundtrip_at_every_width(self):
-        cells = 70_000   # flat indices past 65535 need four bytes
+        cells = 70_000   # a gap past 65535 needs four bytes
         for top in (255, 256, 65535, 65536, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1):
             total = np.zeros(cells, dtype=np.int64)
             total[[0, 5, 255, 256, 65535, 65536, cells - 1]] = [1, top, 7, top, 1, 2, top]
             hits = total // 2
-            enc = encoded(total, hits)
-            back_total, back_hits = decoded(enc, (cells,))
+            entry, blocks = encoded(total, hits)
+            back_total, back_hits = decoded(entry, blocks, (cells,))
             assert np.array_equal(back_total, total) and np.array_equal(back_hits, hits)
-            assert enc["index"].startswith("u4:")
+            # its widest gap, 65535 - 256, takes two bytes
+            assert entry["gaps"] == "u2"
+        total = np.zeros(cells, dtype=np.int64)
+        total[[0, cells - 1]] = 1
+        entry, blocks = encoded(total, total)
+        assert entry["gaps"] == "u4"
+        assert np.array_equal(decoded(entry, blocks, (cells,))[0], total)
+
+    def test_occupied_cells_by_row_blocks(self, rng):
+        # at MAX_BINS a block is 64 rows: each array stays under 1 MiB
+        total = np.zeros((MAX_BINS, MAX_BINS), dtype=np.int64)
+        total.reshape(-1)[rng.integers(0, total.size, 100_000)] = 1
+        total[-1, -1] = total[0, 0] = 2
+        blocks = list(st.occupied_cells(total))
+        assert len(blocks) == MAX_BINS // 64
+        assert max(b.nbytes for b in blocks) <= 2 ** 20
+        assert np.array_equal(np.concatenate(blocks), np.flatnonzero(total))
+        assert [b.tolist() for b in st.occupied_cells(np.array([0, 3, 0, 1]))] == [[1, 3]]
 
     @pytest.mark.parametrize("counts", [
-        {"index": packed([0, 1], 1), "total": "f8:" + packed([1.5, 2.0], 8)[3:],
-         "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": True, "hits": packed([0, 0], 1)},
-        {"index": [packed([0], 1), packed([1], 1)], "total": packed([1, 2], 1),
-         "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": packed([1, 2], 1), "hits": packed([0], 1)},
-        {"index": packed([2 ** 64 - 1, 1], 8), "total": packed([1, 2], 1),
-         "hits": packed([0, 0], 1)},
-        {"index": packed([0, 4], 1), "total": packed([1, 2], 1), "hits": packed([0, 0], 1)},
-        {"index": packed([1, 1], 1), "total": packed([1, 2], 1), "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1)[3:], "total": packed([1, 2], 1),
-         "hits": packed([0, 0], 1)},
-        {"total": packed([0, 0, 0, 1], 1), "hits": packed([0, 0, 0, 1], 1)},
-        {"index": packed([0, 1], 1), "total": packed([2 ** 63, 2], 8),
-         "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": packed([1, 2], 1),
-         "hits": packed([2 ** 63, 0], 8)},
-        {"index": packed([0, 1], 1), "total": packed([1, 2], 1), "hits": packed([1, 3], 1)},
-        {"index": [0, 1], "total": [1, 2], "hits": [0, 0]},
-        {"index": packed([0, 1], 1), "total": "u1:AQI", "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": "u1:AQ!C", "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": "u1:AQ\u00e9=", "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": "u3:AQIDBAUG", "hits": packed([0, 0], 1)},
-        {"index": packed([0, 1], 1), "total": "u2:AQID", "hits": packed([0, 0], 1)}],
+        ({"gaps": "u1", "total": "f8", "hits": "u1"},
+         packed([1, 1], 1) + np.array([1.5, 2.0]).tobytes() + packed([0, 0], 1)),
+        ({"gaps": "u1", "total": True, "hits": "u1"}, packed([1, 1, 1, 2, 0, 0], 1)),
+        ({"gaps": ["u1", "u1"], "total": "u1", "hits": "u1"}, packed([1, 1, 1, 2, 0, 0], 1)),
+        ({"gaps": "u1", "total": "u1", "hits": "u1"}, packed([1, 1, 1, 2, 0], 1)),
+        ({"gaps": "u8", "total": "u1", "hits": "u1"},
+         packed([2 ** 64 - 1, 1], 8) + packed([1, 2, 0, 0], 1)),
+        ({"gaps": "u1", "total": "u1", "hits": "u1"}, packed([1, 4, 1, 2, 0, 0], 1)),
+        ({"gaps": "u1", "total": "u1", "hits": "u1"}, packed([2, 0, 1, 2, 0, 0], 1)),
+        ({"total": "u1", "hits": "u1"}, packed([1, 1, 1, 2, 0, 0], 1)),
+        ({"cells": None, "total": [0, 0, 0, 1], "hits": [0, 0, 0, 1]}, b""),
+        ({"gaps": "u1", "total": "u8", "hits": "u1"},
+         packed([1, 1], 1) + packed([2 ** 63, 2], 8) + packed([0, 0], 1)),
+        ({"gaps": "u1", "total": "u1", "hits": "u8"},
+         packed([1, 1, 1, 2], 1) + packed([2 ** 63, 0], 8)),
+        ({"gaps": "u1", "total": "u1", "hits": "u1"}, packed([1, 1, 1, 2, 1, 3], 1)),
+        ({"gaps": [1, 1], "total": [1, 2], "hits": [0, 0]}, b""),
+        ({"gaps": "u1", "total": "u2", "hits": "u1"}, packed([1, 1, 1, 0, 2], 1)),
+        ({"gaps": "u1", "total": "u!", "hits": "u1"}, packed([1, 1, 1, 2, 0, 0], 1)),
+        ({"gaps": "u1", "total": "u\u00e9", "hits": "u1"}, packed([1, 1, 1, 2, 0, 0], 1)),
+        ({"gaps": "u1", "total": "u3", "hits": "u1"}, packed([1, 1, 1, 0, 0, 2, 0, 0, 0, 0], 1)),
+        ({"gaps": "u1", "total": "u1", "hits": "u2"}, packed([1, 1, 1, 2, 0, 0, 0], 1)),
+        ({"cells": 3, "gaps": "u1", "total": "u1", "hits": "u1"}, packed([1, 1, 1, 2, 0, 0], 1)),
+        ({"index": "u1:AAE=", "total": "u1:AQI=", "hits": "u1:AAA="}, b"")],
         ids=["float", "bool", "nested", "lengths", "negative", "past_end",
              "repeated", "not_a_list", "dense", "negative_total", "negative_hits",
              "hits_above_total", "list_format", "bad_padding", "bad_base64_char",
-             "non_ascii", "unknown_width", "ragged_bytes"])
+             "non_ascii", "unknown_width", "ragged_bytes", "one_cell_more",
+             "base64_strings"])
     def test_malformed_counts_rejected(self, counts):
+        # two cells of a 2 x 2 histogram unless the entry says otherwise;
+        # bytes left after the last block are refused by the checkpoint
+        # reader, which alone knows which block is the last
+        entry, blocks = counts
+        entry = {k: v for k, v in {"cells": 2, **entry}.items() if v is not None}
         with pytest.raises(ValueError):
-            decoded(counts, (2, 2))
+            decoded(entry, blocks, (2, 2))
